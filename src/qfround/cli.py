@@ -11,28 +11,27 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import efficiency, equilibrium, ledger, roundsim, strategy
 from .errors import DomainError
-from .funding import Contribution, ProjectLedger
-from .report import build_report
+from .funding import ProjectLedger, group_ledgers
+from .report import PROJECT_COLUMNS, build_report
 
 DEFAULT_SWEEP_PROFILES = "1:1,1:2,1:15"
 
 
-def _ledgers_from_file(path) -> tuple[list[ProjectLedger], ledger.LoadResult]:
+def _load_contributions(path) -> ledger.LoadResult:
     loaded = ledger.load_contributions(path)
     for error in loaded.errors:
         print(f"{path}:{error.line}: {error.message}", file=sys.stderr)
-    by_project: dict[str, list[Contribution]] = {}
-    for record in loaded.contributions:
-        by_project.setdefault(record.project_id, []).append(record)
-    ledgers = [
-        ProjectLedger.build(project, rows, category=loaded.project_categories.get(project, ""))
-        for project, rows in sorted(by_project.items())
-    ]
-    return ledgers, loaded
+    return loaded
+
+
+def _ledgers_from_file(path) -> list[ProjectLedger]:
+    loaded = _load_contributions(path)
+    return group_ledgers(loaded.contributions, loaded.project_categories)
 
 
 def _write_or_stdout(text: str, path: str | None) -> None:
@@ -42,37 +41,27 @@ def _write_or_stdout(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write rows with csv: floats as repr, None as an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cmd_allocate(args) -> int:
-    ledgers, _ = _ledgers_from_file(args.contributions)
+    ledgers = _ledgers_from_file(args.contributions)
     pools = ledger.load_pools(args.pools)
     report = build_report(ledgers, pools, cap_at_target=args.cap_at_target, strict=True)
     _write_or_stdout(report.to_json(), args.json)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["category", "project_id", "contributors", "total", "f_qf", "m_qf", "m_actual", "f_actual", "lambda_p"]
-            )
-            for block in report.categories:
-                for project in block.projects:
-                    writer.writerow(
-                        [
-                            block.category,
-                            project.project_id,
-                            project.contributor_count,
-                            repr(project.total),
-                            repr(project.f_qf),
-                            repr(project.m_qf),
-                            repr(project.m_actual),
-                            repr(project.f_actual),
-                            "" if project.lambda_p is None else repr(project.lambda_p),
-                        ]
-                    )
+        rows = ((block.category, *p.row()) for block in report.categories for p in block.projects)
+        _write_csv(args.csv, ("category", *PROJECT_COLUMNS), rows)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    ledgers, _ = _ledgers_from_file(args.contributions)
+    ledgers = _ledgers_from_file(args.contributions)
     pools = ledger.load_pools(args.pools)
     report = build_report(ledgers, pools, strict=True)
     k_of = {block.category: block.k for block in report.categories}
@@ -161,13 +150,7 @@ def _cmd_collusion(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     valuations = equilibrium.load_valuations(args.valuations)
-    budgets = None
-    if args.budgets:
-        with open(args.budgets, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or "contributor_id" not in reader.fieldnames or "budget" not in reader.fieldnames:
-                raise ledger.LedgerFormatError(f"{args.budgets}: expected columns contributor_id,budget")
-            budgets = {row["contributor_id"]: float(row["budget"]) for row in reader}
+    budgets = ledger.load_budgets(args.budgets) if args.budgets else None
     result = equilibrium.best_response(valuations, args.k, budgets, max_iter=args.max_iter)
     contributions: dict[str, dict[str, float]] = {}
     for (cid, pid), amount in sorted(result.contributions.items()):
@@ -236,12 +219,7 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
 def _cmd_simulate(args) -> int:
     config, agents = load_simulation_file(args.config)
     if args.seed is not None:
-        config = roundsim.RoundConfig(
-            categories=config.categories,
-            duration_days=config.duration_days,
-            pool_events=config.pool_events,
-            seed=args.seed,
-        )
+        config = replace(config, seed=args.seed)
     trajectory = roundsim.run_round(config, agents)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,9 +247,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reciprocal(args) -> int:
-    loaded = ledger.load_contributions(args.contributions)
-    for error in loaded.errors:
-        print(f"{args.contributions}:{error.line}: {error.message}", file=sys.stderr)
+    loaded = _load_contributions(args.contributions)
     roster = ledger.load_roster(args.teams)
     graph = ledger.build_graph(loaded.contributions, roster, loaded.project_categories)
     report = ledger.reciprocity_stats(graph, weighted=args.weighted)
@@ -279,46 +255,14 @@ def _cmd_reciprocal(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "reciprocal_report.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["project_id", "category", "outdegree", "reciprocal", "cross_outdegree", "cross_reciprocal"]
-        )
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.project_id,
-                    row.category,
-                    f"{row.outdegree:g}",
-                    f"{row.reciprocal:g}",
-                    f"{row.cross_outdegree:g}",
-                    f"{row.cross_reciprocal:g}",
-                ]
-            )
+    columns = [f.name for f in fields(ledger.ProjectReciprocity)]
+    _write_csv(report_path, columns, (
+        [f"{v:g}" if isinstance(v, float) else v for v in (getattr(row, c) for c in columns)]
+        for row in report.rows
+    ))
     cross_path = out_dir / "cross_category.csv"
-    with open(cross_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "category",
-                "project_count",
-                "outside_project_share",
-                "cross_reciprocal_share",
-                "reciprocal_endpoints",
-                "cross_endpoints",
-            ]
-        )
-        for row in cross.rows:
-            writer.writerow(
-                [
-                    row.category,
-                    row.project_count,
-                    repr(row.outside_project_share),
-                    repr(row.cross_reciprocal_share),
-                    row.reciprocal_endpoints,
-                    row.cross_endpoints,
-                ]
-            )
+    columns = [f.name for f in fields(ledger.CategoryCross)]
+    _write_csv(cross_path, columns, ([getattr(row, c) for c in columns] for row in cross.rows))
     if cross.single_category:
         print("warning: single-category graph, cross shares are trivially 0", file=sys.stderr)
 

@@ -16,15 +16,16 @@ case the round-wide total equals 2 * sum over pairs of sqrt(m_i * m_j).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .funding import ProjectLedger, qf_target
+from .funding import ProjectLedger, qf_target, required_match
 
 __all__ = [
     "ShareProfile",
     "BudgetedContributor",
+    "sqrt_shares",
     "share_profile",
     "decomposed_match",
     "max_match",
@@ -45,17 +46,24 @@ class ShareProfile:
     mean: float
 
 
+def sqrt_shares(amounts: Iterable[float]) -> list[float]:
+    """Square-root shares sqrt(c_i) / sum_j sqrt(c_j), one per amount, in order."""
+    roots = [math.sqrt(a) for a in amounts]
+    denom = math.fsum(roots)
+    if denom <= 0:
+        raise DomainError("at least one positive contribution required")
+    return [r / denom for r in roots]
+
+
 def share_profile(ledger: ProjectLedger) -> ShareProfile:
-    """Per-contributor shares alpha_i plus HHI and population variance.
+    """Per-contributor shares alpha_i (by contributor id) plus HHI and variance.
 
     The identity hhi = n*variance + n*mean^2 holds by construction.
     """
     amounts = ledger.contributor_amounts()
     if not amounts:
         raise DomainError(f"project {ledger.project_id!r} has no contributors")
-    roots = [math.sqrt(amounts[cid]) for cid in sorted(amounts)]
-    denom = math.fsum(roots)
-    alphas = tuple(r / denom for r in roots)
+    alphas = tuple(sqrt_shares(amounts[cid] for cid in sorted(amounts)))
     n = len(alphas)
     mean = 1.0 / n
     hhi = math.fsum(a * a for a in alphas)
@@ -82,10 +90,13 @@ def max_match(budgets: Sequence[float]) -> float:
     for m in budgets:
         if not math.isfinite(m) or m <= 0:
             raise DomainError(f"budgets must be positive, got {m!r}")
-    roots = [math.sqrt(m) for m in budgets]
-    return 2.0 * math.fsum(
-        roots[i] * roots[j] for i in range(len(roots)) for j in range(i + 1, len(roots))
-    )
+    return _required(budgets)
+
+
+def _required(amounts: Iterable[float]) -> float:
+    """required_match over the positive entries of ``amounts``."""
+    positive = [a for a in amounts if a > 0.0]
+    return required_match(math.fsum(math.sqrt(a) for a in positive), math.fsum(positive), len(positive))
 
 
 @dataclass(frozen=True)
@@ -122,10 +133,5 @@ def total_match_for_shares(contributors: Sequence[BudgetedContributor]) -> float
         projects.update(contributor.shares)
     total = 0.0
     for project in sorted(projects):
-        roots = [
-            math.sqrt(c.shares.get(project, 0.0) * c.budget) for c in contributors
-        ]
-        total += 2.0 * math.fsum(
-            roots[i] * roots[j] for i in range(len(roots)) for j in range(i + 1, len(roots))
-        )
+        total += _required(c.shares.get(project, 0.0) * c.budget for c in contributors)
     return total

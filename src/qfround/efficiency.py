@@ -21,6 +21,7 @@ import statistics
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from .concentration import sqrt_shares
 from .errors import DomainError
 from .funding import ProjectLedger
 
@@ -39,15 +40,6 @@ __all__ = [
 ]
 
 
-def _alphas(ledger: ProjectLedger) -> list[float]:
-    amounts = ledger.contributor_amounts()
-    if not amounts:
-        raise DomainError(f"project {ledger.project_id!r} has no contributors")
-    roots = [math.sqrt(amounts[cid]) for cid in sorted(amounts)]
-    denom = math.fsum(roots)
-    return [r / denom for r in roots]
-
-
 def _check_k(k: float) -> None:
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
@@ -56,17 +48,12 @@ def _check_k(k: float) -> None:
 def lambda_from_amounts(amounts: Iterable[float], k: float) -> float:
     """lambda_p from raw per-contributor amounts (one entry per contributor)."""
     _check_k(k)
-    roots = [math.sqrt(a) for a in amounts]
-    denom = math.fsum(roots)
-    if denom <= 0:
-        raise DomainError("at least one positive contribution required")
-    return math.fsum(1.0 / (denom / (k * r) + 1.0 - 1.0 / k) for r in roots)
+    return math.fsum(1.0 / (1.0 / (k * a) + 1.0 - 1.0 / k) for a in sqrt_shares(amounts))
 
 
 def lambda_p(ledger: ProjectLedger, k: float) -> float:
     """Sum of marginal valuations implied by the first-order conditions."""
-    _check_k(k)
-    return math.fsum(1.0 / (1.0 / (k * a) + 1.0 - 1.0 / k) for a in _alphas(ledger))
+    return lambda_from_amounts(ledger.contributor_amounts().values(), k)
 
 
 def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
@@ -76,7 +63,7 @@ def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
     lambda_p sum; tight exactly when all shares are equal.
     """
     _check_k(k)
-    alphas = _alphas(ledger)
+    alphas = sqrt_shares(ledger.contributor_amounts().values())
     n = len(alphas)
     denom = math.fsum(1.0 / a for a in alphas) / k + n * (1.0 - 1.0 / k)
     return n * n / denom

@@ -12,10 +12,11 @@ has a unique positive root (the left side falls monotonically from +inf to
 V_i'(c_i) = 1, which can hit the c_i = 0 corner for the log family.
 
 The solver runs simultaneous best-response sweeps damped by 0.5 until the
-largest update is below tolerance, then one undamped in-place sweep so every
-entry lands on its exact best response against the final profile.  k is
-exogenous throughout; ``best_response_endogenous_k`` wraps an experimental
-outer loop that re-derives k from the induced contributions.
+largest update, relative to max(1, target), is below tolerance, then one
+undamped in-place sweep so every entry lands on its exact best response
+against the final profile.  k is exogenous throughout;
+``best_response_endogenous_k`` wraps an experimental outer loop that
+re-derives k from the induced contributions.
 
 Valuations come in two closed-form concave families:
 
@@ -24,12 +25,13 @@ Valuations come in two closed-form concave families:
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, LedgerFormatError
+from .funding import required_match
+from .ledger import positive_field, read_rows
 
 __all__ = [
     "Valuation",
@@ -168,8 +170,10 @@ def best_response(
     Projects are independent subproblems; budgets, when given, cap each
     contributor's total by proportional scaling and the affected entries are
     reported in ``clamped`` (their first-order conditions need not hold).
-    Non-convergence after ``max_iter`` sweeps returns converged=False rather
-    than a silent answer.
+    A sweep converges when every undamped step is below ``tol`` times
+    max(1, target): the bisection resolves roots to 1e-12 relative, so an
+    absolute test could never pass for large amounts.  Non-convergence after
+    ``max_iter`` sweeps returns converged=False rather than a silent answer.
     """
     if not valuations:
         raise DomainError("at least one valuation is required")
@@ -227,7 +231,7 @@ def best_response(
         for key, target in targets.items():
             step = damping * (target - current[key])
             current[key] += step
-            delta = max(delta, abs(step))
+            delta = max(delta, abs(step) / max(1.0, target))
         if delta / damping < tol:
             converged = True
             break
@@ -282,10 +286,12 @@ def best_response_endogenous_k(
         requirement = 0.0
         by_project: dict[str, list[float]] = {}
         for (cid, pid), amount in result.contributions.items():
-            by_project.setdefault(pid, []).append(amount)
+            if amount > 0.0:
+                by_project.setdefault(pid, []).append(amount)
         for amounts in by_project.values():
-            s = math.fsum(math.sqrt(a) for a in amounts)
-            requirement += max(0.0, s * s - math.fsum(amounts))
+            requirement += required_match(
+                math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
+            )
         k_next = max(requirement / pool, 1e-9)
         if abs(k_next - k) < k_tol:
             return result, k
@@ -422,21 +428,16 @@ def max_foc_residual(
 
 def load_valuations(path) -> list[Valuation]:
     """Read valuations from CSV with header contributor_id,project_id,family,scale."""
-    required = ("contributor_id", "project_id", "family", "scale")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [column for column in required if column not in header]
-        if missing:
-            raise LedgerFormatError(f"valuations file missing columns: {', '.join(missing)}")
-        out = []
-        for row in reader:
-            out.append(
-                Valuation(
-                    contributor_id=row["contributor_id"],
-                    project_id=row["project_id"],
-                    family=row["family"],
-                    scale=float(row["scale"]),
-                )
-            )
+    out: list[Valuation] = []
+    seen: set[tuple[str, str]] = set()
+    for line, row in read_rows(path, ("contributor_id", "project_id", "family", "scale")):
+        key = ((row["contributor_id"] or "").strip(), (row["project_id"] or "").strip())
+        if key in seen:
+            raise LedgerFormatError(f"{path}:{line}: duplicate valuation for {key!r}")
+        seen.add(key)
+        scale = positive_field(path, line, row, "scale")
+        try:
+            out.append(Valuation(*key, row["family"], scale))
+        except DomainError as exc:
+            raise LedgerFormatError(f"{path}:{line}: {exc}") from None
     return out

@@ -18,8 +18,8 @@ quadratic-rule requirement instead and report the unspent surplus.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NoMatchableProjectsError
 
@@ -30,16 +30,14 @@ __all__ = [
     "PoolState",
     "CqfAllocation",
     "aggregate_amounts",
+    "group_ledgers",
     "qf_target",
+    "required_match",
     "matching_requirement",
     "marginal_match",
     "compute_k",
     "cqf_allocate",
 ]
-
-#: Relative tolerance used when validating cached aggregates.
-CACHE_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Contribution:
@@ -78,18 +76,19 @@ def aggregate_amounts(contributions: Iterable[Contribution]) -> dict[str, float]
 
 @dataclass(frozen=True)
 class ProjectLedger:
-    """Per-project aggregate: contribution list plus cached sums.
+    """Per-project aggregate: contribution list plus sums derived from it.
 
     ``sqrt_sum`` is the sum of square roots of per-contributor aggregated
-    amounts and ``total`` is the plain sum; both must agree with a fresh
-    recomputation within 1e-9 relative tolerance or construction fails.
+    amounts, ``total`` the plain sum and ``contributor_count`` the number of
+    distinct contributors; all three are computed once at construction.
     """
 
     project_id: str
     category: str
     contributions: tuple[Contribution, ...]
-    sqrt_sum: float
-    total: float
+    sqrt_sum: float = field(init=False)
+    total: float = field(init=False)
+    contributor_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         for record in self.contributions:
@@ -97,14 +96,10 @@ class ProjectLedger:
                 raise DomainError(
                     f"contribution for {record.project_id!r} placed in ledger {self.project_id!r}"
                 )
-        fresh_total = math.fsum(r.amount for r in self.contributions)
-        fresh_sqrt = math.fsum(math.sqrt(a) for a in aggregate_amounts(self.contributions).values())
-        for cached, fresh, name in (
-            (self.total, fresh_total, "total"),
-            (self.sqrt_sum, fresh_sqrt, "sqrt_sum"),
-        ):
-            if abs(cached - fresh) > CACHE_REL_TOL * max(1.0, abs(fresh)):
-                raise DomainError(f"cached {name}={cached!r} disagrees with recomputation {fresh!r}")
+        amounts = aggregate_amounts(self.contributions)
+        object.__setattr__(self, "sqrt_sum", math.fsum(math.sqrt(a) for a in amounts.values()))
+        object.__setattr__(self, "total", math.fsum(r.amount for r in self.contributions))
+        object.__setattr__(self, "contributor_count", len(amounts))
 
     @classmethod
     def build(
@@ -113,10 +108,7 @@ class ProjectLedger:
         contributions: Iterable[Contribution],
         category: str = "",
     ) -> "ProjectLedger":
-        records = tuple(contributions)
-        total = math.fsum(r.amount for r in records)
-        sqrt_sum = math.fsum(math.sqrt(a) for a in aggregate_amounts(records).values())
-        return cls(project_id, category, records, sqrt_sum, total)
+        return cls(project_id, category, tuple(contributions))
 
     @classmethod
     def from_amounts(
@@ -135,9 +127,24 @@ class ProjectLedger:
     def contributor_amounts(self) -> dict[str, float]:
         return aggregate_amounts(self.contributions)
 
-    @property
-    def contributor_count(self) -> int:
-        return len({r.contributor_id for r in self.contributions})
+
+def group_ledgers(
+    contributions: Iterable[Contribution],
+    categories: Mapping[str, str],
+    projects: Iterable[str] = (),
+) -> list[ProjectLedger]:
+    """One ledger per project, sorted by project id, in a single pass.
+
+    Categories come from ``categories`` ("" when absent); every id in
+    ``projects`` gets a ledger even when nobody contributed to it.
+    """
+    by_project: dict[str, list[Contribution]] = {project: [] for project in projects}
+    for record in contributions:
+        by_project.setdefault(record.project_id, []).append(record)
+    return [
+        ProjectLedger.build(project, records, categories.get(project, ""))
+        for project, records in sorted(by_project.items())
+    ]
 
 
 def qf_target(ledger: ProjectLedger) -> float:
@@ -149,17 +156,24 @@ def qf_target(ledger: ProjectLedger) -> float:
     return ledger.sqrt_sum * ledger.sqrt_sum
 
 
-def matching_requirement(ledger: ProjectLedger) -> float:
-    """Match required on top of private funds: target - total.
+def required_match(sqrt_sum: float, total: float, n: int) -> float:
+    """Match required on top of private funds: sqrt_sum^2 - total.
 
-    Algebraically 2 * sum over unordered contributor pairs of
-    sqrt(c_i * c_j); exactly zero with one or zero contributors (there are
-    no pairs, so the sub-ulp float residue of target - total is discarded).
+    ``sqrt_sum`` and ``total`` are the square-root sum and plain sum of
+    ``n`` per-contributor amounts.  Algebraically 2 * sum over unordered
+    contributor pairs of sqrt(c_i * c_j); exactly zero with one or zero
+    contributors (there are no pairs, so the sub-ulp float residue of
+    sqrt_sum^2 - total is discarded).
     """
-    if ledger.contributor_count <= 1:
+    if n <= 1:
         return 0.0
-    value = qf_target(ledger) - ledger.total
+    value = sqrt_sum * sqrt_sum - total
     return value if value > 0.0 else 0.0
+
+
+def matching_requirement(ledger: ProjectLedger) -> float:
+    """Match required on top of private funds: target - total."""
+    return required_match(ledger.sqrt_sum, ledger.total, ledger.contributor_count)
 
 
 def marginal_match(ledger: ProjectLedger, new_amount: float) -> float:

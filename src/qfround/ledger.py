@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,10 +30,13 @@ __all__ = [
     "ReciprocityReport",
     "CategoryCross",
     "CrossCategoryReport",
+    "read_rows",
+    "positive_field",
     "load_contributions",
     "write_contributions",
     "load_roster",
     "load_pools",
+    "load_budgets",
     "build_graph",
     "reciprocity_stats",
     "cross_category_stats",
@@ -57,46 +60,67 @@ class LoadResult:
     errors: tuple[RowError, ...]
 
 
-def load_contributions(path) -> LoadResult:
-    """Parse a contributions CSV; malformed rows are reported, not fatal."""
+def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line, row)`` for each data row of a CSV file with a header.
+
+    The header must name every column in ``columns`` (extras are ignored);
+    otherwise, or for an empty file, LedgerFormatError is raised.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
         if header is None:
             raise LedgerFormatError(f"{path}: empty file, expected a header row")
-        missing = [column for column in CONTRIBUTIONS_COLUMNS if column not in header]
+        missing = [column for column in columns if column not in header]
         if missing:
             raise LedgerFormatError(f"{path}: missing columns: {', '.join(missing)}")
-        records: list[Contribution] = []
-        categories: dict[str, str] = {}
-        errors: list[RowError] = []
-        for line, row in enumerate(reader, start=2):
-            raw = ",".join("" if row.get(c) is None else str(row.get(c)) for c in CONTRIBUTIONS_COLUMNS)
-            try:
-                day = int(row["day"])
-                amount = float(row["amount"])
-            except (TypeError, ValueError) as exc:
-                errors.append(RowError(line, f"unparsable row: {exc}", raw))
-                continue
-            project = (row["project_id"] or "").strip()
-            contributor = (row["contributor_id"] or "").strip()
-            category = (row["category"] or "").strip()
-            if not project or not contributor:
-                errors.append(RowError(line, "missing project or contributor id", raw))
-                continue
-            if not math.isfinite(amount) or amount <= 0:
-                errors.append(RowError(line, f"nonpositive amount {row['amount']!r}", raw))
-                continue
-            if day < 0:
-                errors.append(RowError(line, f"negative day {row['day']!r}", raw))
-                continue
-            if project in categories and categories[project] != category:
-                errors.append(
-                    RowError(line, f"category conflict for {project!r}: keeping {categories[project]!r}", raw)
-                )
-            else:
-                categories[project] = category
-            records.append(Contribution(contributor, project, amount, day))
+        yield from enumerate(reader, start=2)
+
+
+def positive_field(path, line: int, row: Mapping[str, str], column: str) -> float:
+    """``row[column]`` as a positive finite float, else LedgerFormatError."""
+    text = row[column]
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise LedgerFormatError(f"{path}:{line}: {column} must be a positive number, got {text!r}")
+    return value
+
+
+def load_contributions(path) -> LoadResult:
+    """Parse a contributions CSV; malformed rows are reported, not fatal."""
+    records: list[Contribution] = []
+    categories: dict[str, str] = {}
+    errors: list[RowError] = []
+    for line, row in read_rows(path, CONTRIBUTIONS_COLUMNS):
+        raw = ",".join("" if row.get(c) is None else str(row.get(c)) for c in CONTRIBUTIONS_COLUMNS)
+        try:
+            day = int(row["day"])
+            amount = float(row["amount"])
+        except (TypeError, ValueError) as exc:
+            errors.append(RowError(line, f"unparsable row: {exc}", raw))
+            continue
+        project = (row["project_id"] or "").strip()
+        contributor = (row["contributor_id"] or "").strip()
+        category = (row["category"] or "").strip()
+        if not project or not contributor:
+            errors.append(RowError(line, "missing project or contributor id", raw))
+            continue
+        if not math.isfinite(amount) or amount <= 0:
+            errors.append(RowError(line, f"nonpositive amount {row['amount']!r}", raw))
+            continue
+        if day < 0:
+            errors.append(RowError(line, f"negative day {row['day']!r}", raw))
+            continue
+        if project in categories and categories[project] != category:
+            errors.append(
+                RowError(line, f"category conflict for {project!r}: keeping {categories[project]!r}", raw)
+            )
+        else:
+            categories[project] = category
+        records.append(Contribution(contributor, project, amount, day))
     return LoadResult(tuple(records), categories, tuple(errors))
 
 
@@ -141,34 +165,33 @@ class TeamRoster:
 
 
 def load_roster(path) -> TeamRoster:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None or any(column not in header for column in TEAMS_COLUMNS):
-            raise LedgerFormatError(f"{path}: expected columns {', '.join(TEAMS_COLUMNS)}")
-        members: dict[str, set[str]] = {}
-        for row in reader:
-            project = (row["project_id"] or "").strip()
-            member = (row["member_id"] or "").strip()
-            if project and member:
-                members.setdefault(project, set()).add(member)
+    members: dict[str, set[str]] = {}
+    for _line, row in read_rows(path, TEAMS_COLUMNS):
+        project = (row["project_id"] or "").strip()
+        member = (row["member_id"] or "").strip()
+        if project and member:
+            members.setdefault(project, set()).add(member)
     return TeamRoster({project: frozenset(team) for project, team in members.items()})
+
+
+def _positive_by_key(path, key: str, column: str) -> dict[str, float]:
+    values: dict[str, float] = {}
+    for line, row in read_rows(path, (key, column)):
+        name = (row[key] or "").strip()
+        if name in values:
+            raise LedgerFormatError(f"{path}:{line}: duplicate {key} {name!r}")
+        values[name] = positive_field(path, line, row, column)
+    return values
 
 
 def load_pools(path) -> dict[str, float]:
     """Read category pools from a CSV with header category,pool."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None or "category" not in header or "pool" not in header:
-            raise LedgerFormatError(f"{path}: expected columns category,pool")
-        pools: dict[str, float] = {}
-        for row in reader:
-            pool = float(row["pool"])
-            if pool <= 0 or not math.isfinite(pool):
-                raise DomainError(f"pool for {row['category']!r} must be positive")
-            pools[(row["category"] or "").strip()] = pool
-    return pools
+    return _positive_by_key(path, "category", "pool")
+
+
+def load_budgets(path) -> dict[str, float]:
+    """Read contributor budgets from a CSV with header contributor_id,budget."""
+    return _positive_by_key(path, "contributor_id", "budget")
 
 
 @dataclass(frozen=True)

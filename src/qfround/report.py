@@ -8,9 +8,12 @@ from dataclasses import dataclass
 
 from .efficiency import lambda_p
 from .errors import DomainError, NoMatchableProjectsError
-from .funding import ProjectLedger, cqf_allocate, matching_requirement, qf_target
+from .funding import MatchOutcome, ProjectLedger, cqf_allocate, matching_requirement, qf_target
 
-__all__ = ["ProjectReport", "CategoryReport", "AllocationReport", "build_report"]
+__all__ = ["PROJECT_COLUMNS", "ProjectReport", "CategoryReport", "AllocationReport", "build_report"]
+
+#: Per-project columns of the JSON report and the allocate CSV, in order.
+PROJECT_COLUMNS = ("project_id", "contributors", "total", "f_qf", "m_qf", "m_actual", "f_actual", "lambda_p")
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,11 @@ class ProjectReport:
     m_actual: float
     f_actual: float
     lambda_p: float | None
+
+    def row(self) -> tuple:
+        """The values of PROJECT_COLUMNS, in order."""
+        return (self.project_id, self.contributor_count, self.total, self.f_qf, self.m_qf,
+                self.m_actual, self.f_actual, self.lambda_p)
 
 
 @dataclass(frozen=True)
@@ -54,19 +62,7 @@ class AllocationReport:
                     "cap_at_target": c.cap_at_target,
                     "surplus": c.surplus,
                     "degenerate": c.degenerate,
-                    "projects": [
-                        {
-                            "project_id": p.project_id,
-                            "contributors": p.contributor_count,
-                            "total": p.total,
-                            "f_qf": p.f_qf,
-                            "m_qf": p.m_qf,
-                            "m_actual": p.m_actual,
-                            "f_actual": p.f_actual,
-                            "lambda_p": p.lambda_p,
-                        }
-                        for p in c.projects
-                    ],
+                    "projects": [dict(zip(PROJECT_COLUMNS, p.row())) for p in c.projects],
                 }
                 for c in self.categories
             ],
@@ -100,44 +96,29 @@ def build_report(
         pool = float(pools[category])
         try:
             allocation = cqf_allocate(members, pool, category=category, cap_at_target=cap_at_target)
+            k, surplus, outcomes = allocation.pool_state.k, allocation.surplus, allocation.by_project()
         except NoMatchableProjectsError:
             if strict:
                 raise
-            projects = tuple(
-                ProjectReport(
-                    project_id=l.project_id,
-                    category=category,
-                    contributor_count=l.contributor_count,
-                    total=l.total,
-                    f_qf=qf_target(l),
-                    m_qf=matching_requirement(l),
-                    m_actual=0.0,
-                    f_actual=l.total,
-                    lambda_p=None,
-                )
-                for l in members
+            k, surplus, outcomes = None, pool, {}
+        projects = []
+        for l in members:
+            # A degenerate category (k=None) pays no match.
+            o = outcomes.get(l.project_id) or MatchOutcome(
+                l.project_id, qf_target(l), matching_requirement(l), 0.0, l.total
             )
-            blocks.append(
-                CategoryReport(category, pool, None, cap_at_target, pool, True, projects)
-            )
-            continue
-        k = allocation.pool_state.k
-        outcomes = allocation.by_project()
-        projects = tuple(
-            ProjectReport(
+            projects.append(ProjectReport(
                 project_id=l.project_id,
                 category=category,
                 contributor_count=l.contributor_count,
                 total=l.total,
-                f_qf=outcomes[l.project_id].f_qf,
-                m_qf=outcomes[l.project_id].m_qf,
-                m_actual=outcomes[l.project_id].m_actual,
-                f_actual=outcomes[l.project_id].f_actual,
-                lambda_p=lambda_p(l, k) if l.contributor_count else None,
-            )
-            for l in members
-        )
+                f_qf=o.f_qf,
+                m_qf=o.m_qf,
+                m_actual=o.m_actual,
+                f_actual=o.f_actual,
+                lambda_p=lambda_p(l, k) if k is not None and l.contributor_count else None,
+            ))
         blocks.append(
-            CategoryReport(category, pool, k, cap_at_target, allocation.surplus, False, projects)
+            CategoryReport(category, pool, k, cap_at_target, surplus, k is None, tuple(projects))
         )
     return AllocationReport(tuple(blocks))

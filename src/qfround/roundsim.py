@@ -26,14 +26,14 @@ import csv
 import math
 import random
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .efficiency import lambda_from_amounts
 from .equilibrium import Valuation, solve_best_contribution
 from .errors import BudgetBreachError, DomainError
-from .funding import Contribution, ProjectLedger
+from .funding import Contribution, group_ledgers, required_match
 from .report import AllocationReport, build_report
 
 __all__ = [
@@ -187,12 +187,10 @@ class RoundTrajectory:
 
 class _RoundState:
     def __init__(self, config: RoundConfig):
-        self.amounts: dict[str, dict[str, float]] = {
-            p: {} for p in config.project_category()
-        }
+        self.category_of = config.project_category()
+        self.amounts: dict[str, dict[str, float]] = {p: {} for p in self.category_of}
         self.spent: dict[str, float] = {}
         self.panel: list[PanelRow] = []
-        self.category_of = config.project_category()
 
     def emit(self, day: int, agent: AgentSpec, project: str, amount: float) -> None:
         if amount <= 0.0:
@@ -214,17 +212,18 @@ class _RoundState:
 
     def requirement(self, project: str) -> float:
         ledger = self.amounts[project]
-        if len(ledger) <= 1:
-            return 0.0  # no contributor pairs, so no float residue either
-        s = math.fsum(math.sqrt(a) for a in ledger.values())
-        value = s * s - math.fsum(ledger.values())
-        return value if value > 0.0 else 0.0
+        return required_match(
+            math.fsum(math.sqrt(a) for a in ledger.values()), math.fsum(ledger.values()), len(ledger)
+        )
+
+    def category_requirement(self, category: CategorySpec) -> float:
+        return math.fsum(self.requirement(p) for p in category.projects)
 
 
 def _category_k(state: _RoundState, config: RoundConfig, pools: dict[str, float]) -> dict[str, float | None]:
     out: dict[str, float | None] = {}
     for category in config.categories:
-        required = math.fsum(state.requirement(p) for p in category.projects)
+        required = state.category_requirement(category)
         out[category.name] = required / pools[category.name] if required > 0.0 else None
     return out
 
@@ -265,6 +264,7 @@ def run_round(
                         f"agent {agent.agent_id!r} targets unknown project {project!r}"
                     )
 
+    spec_of = {c.name: c for c in config.categories}
     rng = random.Random(config.seed)
     observed_k: dict[str, float] = {c.name: 1.0 for c in config.categories}
     one_shot_done: set[str] = set()
@@ -277,12 +277,7 @@ def run_round(
         for event in config.pool_events:
             if event.day != day:
                 continue
-            required = math.fsum(
-                state.requirement(p)
-                for c in config.categories
-                if c.name == event.category
-                for p in c.projects
-            )
+            required = state.category_requirement(spec_of[event.category])
             old_pool = pools[event.category]
             k_before = required / old_pool if required > 0.0 else None
             k_after = required / event.new_pool if required > 0.0 else None
@@ -343,18 +338,11 @@ def run_round(
             if nightly[category.name] is not None:
                 observed_k[category.name] = nightly[category.name]
 
-    ledgers = [
-        ProjectLedger.build(
-            project,
-            (
-                Contribution(row.contributor_id, row.project_id, row.amount, row.day)
-                for row in state.panel
-                if row.project_id == project
-            ),
-            category=known[project],
-        )
-        for project in sorted(known)
-    ]
+    ledgers = group_ledgers(
+        (Contribution(row.contributor_id, row.project_id, row.amount, row.day) for row in state.panel),
+        known,
+        known,
+    )
     final_report = build_report(ledgers, pools, strict=False)
     return RoundTrajectory(
         config=config,
@@ -393,12 +381,7 @@ def run_repeated_rounds(
                 or (agent.defects_from_round is not None and agent.defects_from_round <= round_index)
             )
         }
-        round_config = RoundConfig(
-            categories=config.categories,
-            duration_days=config.duration_days,
-            pool_events=config.pool_events,
-            seed=config.seed + round_index,
-        )
+        round_config = replace(config, seed=config.seed + round_index)
         trajectories.append(run_round(round_config, agents, defecting_agents=defectors))
         for agent in agents:
             if agent.kind == "reciprocal_colluder" and agent.agent_id in defectors:

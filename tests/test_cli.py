@@ -359,3 +359,62 @@ class TestReciprocal:
             cross = {row["category"]: row for row in csv.DictReader(handle)}
         assert set(cross) == {"x", "y"}
         assert summary["slope"] is not None
+
+
+VALUATIONS = "contributor_id,project_id,family,scale\na,p1,sqrt,2.0\nb,p1,sqrt,2.0\n"
+
+
+class TestMalformedRows:
+    """Bad values and repeated keys in pools, budgets and valuations files
+    are data errors: exit code 1 and a ``path:line: reason`` message."""
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("category,pool\nmain,abc\n", 2),
+            ("category,pool\nmain,inf\n", 2),
+            ("category,pool\nmain,1\nmain,2\n", 3),
+            ("category,pool\nside,5\nmain,0\n", 3),
+        ],
+        ids=["non_numeric", "non_finite", "duplicate_category", "non_positive"],
+    )
+    def test_bad_pools(self, round_files, capsys, text, line):
+        contributions, pools = round_files
+        pools.write_text(text, encoding="utf-8")
+        assert main(["allocate", "--contributions", str(contributions), "--pools", str(pools)]) == 1
+        assert f"{pools}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("contributor_id,budget\na,x\n", 2),
+            ("contributor_id,budget\na,nan\n", 2),
+            ("contributor_id,budget\na,1\nb,-1\n", 3),
+            ("contributor_id,budget\na,1\na,2\n", 3),
+        ],
+        ids=["non_numeric", "non_finite", "non_positive", "duplicate_contributor"],
+    )
+    def test_bad_budgets(self, tmp_path, capsys, text, line):
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(VALUATIONS, encoding="utf-8")
+        budgets = tmp_path / "budgets.csv"
+        budgets.write_text(text, encoding="utf-8")
+        argv = ["equilibrium", "--valuations", str(valuations), "--k", "1.0", "--budgets", str(budgets)]
+        assert main(argv) == 1
+        assert f"{budgets}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            ("c,p1,sqrt,x\n", 4),
+            ("c,p1,sqrt,inf\n", 4),
+            ("c,p1,sqrt,-2\n", 4),
+            ("a,p1,log,1.0\n", 4),
+        ],
+        ids=["non_numeric", "non_finite", "non_positive", "duplicate_pair"],
+    )
+    def test_bad_valuations(self, tmp_path, capsys, row, line):
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(VALUATIONS + row, encoding="utf-8")
+        assert main(["equilibrium", "--valuations", str(valuations), "--k", "1.0"]) == 1
+        assert f"{valuations}:{line}: " in capsys.readouterr().err

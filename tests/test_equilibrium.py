@@ -130,6 +130,16 @@ class TestBestResponse:
         result = best_response(vals, 2.0, max_iter=1)
         assert not result.converged
 
+    def test_large_amounts_converge(self):
+        # Amounts near 70: an absolute step test of 1e-11 is below what the
+        # 1e-12-relative bisection resolves, so it would never be met.
+        vals = [sqrt_val("a", "p", 20.0), sqrt_val("b", "p", 20.0)]
+        result = best_response(vals, 2.5, max_iter=1000)
+        assert result.converged
+        assert result.iterations < 100
+        assert result.contributions[("a", "p")] > 10.0
+        assert max_foc_residual(vals, result.contributions, 2.5) <= 1e-9
+
     def test_contributions_nonincreasing_in_k_with_symmetric_peers(self):
         # Monotone comparative static per contributor; holds when peers on a
         # project are symmetric (see the free-rider exception test below).

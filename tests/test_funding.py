@@ -12,9 +12,11 @@ from qfround.funding import (
     ProjectLedger,
     compute_k,
     cqf_allocate,
+    group_ledgers,
     marginal_match,
     matching_requirement,
     qf_target,
+    required_match,
 )
 
 
@@ -245,9 +247,38 @@ class TestCqfAllocate:
 
 class TestLedgerType:
     def test_cached_sums_validated(self):
-        records = (Contribution("a", "p", 1.0), Contribution("b", "p", 4.0))
-        with pytest.raises(DomainError):
+        """The sums are derived from the records and cannot be passed in."""
+        records = (
+            Contribution("a", "p", 1.0),
+            Contribution("b", "p", 4.0),
+            Contribution("a", "p", 3.0),
+        )
+        with pytest.raises(TypeError):
             ProjectLedger("p", "", records, sqrt_sum=99.0, total=5.0)
+        built = ProjectLedger("p", "", records)
+        assert built.total == math.fsum(r.amount for r in records)
+        assert built.sqrt_sum == math.fsum(math.sqrt(a) for a in (4.0, 4.0))
+        assert built.contributor_count == 2
+        assert matching_requirement(built) == pytest.approx(8.0, rel=1e-12)
+
+    def test_required_match_kernel(self):
+        assert required_match(3.0, 5.0, 2) == 4.0
+        assert required_match(2.0, 4.0 - 1e-15, 1) == 0.0  # no pairs, no residue
+        assert required_match(0.0, 0.0, 0) == 0.0
+        assert required_match(2.0, 4.0 + 1e-15, 2) == 0.0  # clipped at zero
+
+    def test_group_ledgers_one_pass(self):
+        records = [
+            Contribution("a", "q", 1.0),
+            Contribution("b", "p", 4.0),
+            Contribution("a", "q", 3.0),
+        ]
+        ledgers = group_ledgers(records, {"p": "main"}, projects=("r", "p"))
+        assert [l.project_id for l in ledgers] == ["p", "q", "r"]
+        assert [l.category for l in ledgers] == ["main", "", ""]
+        assert ledgers[1].contributions == (records[0], records[2])
+        assert ledgers[1].total == 4.0 and ledgers[1].contributor_count == 1
+        assert ledgers[2].contributions == () and matching_requirement(ledgers[2]) == 0.0
 
     def test_wrong_project_rejected(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,97 @@
+"""Byte-for-byte regression tests of the command-line output files.
+
+Each expected file under ``tests/golden/`` is the exact output of one
+command on a small fixed input, so any change to a formula, a summation
+order or a writer's formatting shows up as a failing comparison.
+"""
+
+from pathlib import Path
+
+import pytest
+from test_cli import CONTRIBUTIONS, POOLS
+
+from qfround.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SAMPLE_ROUND = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
+
+ROSTER_CONTRIBUTIONS = """day,category,project_id,contributor_id,amount
+0,x,B,a1,2
+0,x,C,a1,1.5
+1,y,A,b1,1
+1,x,C,b2,3
+2,y,A,c1,0.25
+2,x,B,c1,2
+3,y,D,a2,7
+3,x,B,d1,1
+3,x,A,a1,4
+"""
+ROSTER = "project_id,member_id\nA,a1\nA,a2\nB,b1\nB,b2\nC,c1\nD,d1\n"
+
+
+def assert_golden(path: Path, name: str) -> None:
+    assert path.read_bytes() == (GOLDEN / name).read_bytes(), f"{path.name} differs from golden/{name}"
+
+
+@pytest.fixture
+def fixture_round(tmp_path):
+    contributions = tmp_path / "contributions.csv"
+    contributions.write_text(CONTRIBUTIONS, encoding="utf-8")
+    pools = tmp_path / "pools.csv"
+    pools.write_text(POOLS, encoding="utf-8")
+    return contributions, pools
+
+
+@pytest.mark.parametrize("cap", [False, True])
+def test_allocate_bytes(fixture_round, tmp_path, capsys, cap):
+    contributions, pools = fixture_round
+    suffix = "_cap" if cap else ""
+    argv = ["allocate", "--contributions", str(contributions), "--pools", str(pools),
+            "--json", str(tmp_path / "out.json"), "--csv", str(tmp_path / "out.csv")]
+    assert main(argv + (["--cap-at-target"] if cap else [])) == 0
+    assert capsys.readouterr().out == ""
+    assert_golden(tmp_path / "out.json", f"allocate{suffix}.json")
+    assert_golden(tmp_path / "out.csv", f"allocate{suffix}.csv")
+
+
+def test_allocate_generous_pool_bytes(fixture_round, tmp_path, capsys):
+    contributions, _ = fixture_round
+    pools = tmp_path / "generous.csv"
+    pools.write_text("category,pool\nmain,8\n", encoding="utf-8")
+    for cap in (False, True):
+        suffix = "_cap" if cap else ""
+        argv = ["allocate", "--contributions", str(contributions), "--pools", str(pools),
+                "--json", str(tmp_path / "out.json"), "--csv", str(tmp_path / "out.csv")]
+        assert main(argv + (["--cap-at-target"] if cap else [])) == 0
+        assert_golden(tmp_path / "out.json", f"allocate_generous{suffix}.json")
+        assert_golden(tmp_path / "out.csv", f"allocate_generous{suffix}.csv")
+
+
+def test_diagnose_bytes(fixture_round, tmp_path, capsys):
+    contributions, pools = fixture_round
+    out = tmp_path / "diagnose.json"
+    assert main(["diagnose", "--contributions", str(contributions), "--pools", str(pools),
+                 "--json", str(out)]) == 0
+    assert_golden(out, "diagnose.json")
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_reciprocal_bytes(tmp_path, capsys, weighted):
+    contributions = tmp_path / "contributions.csv"
+    contributions.write_text(ROSTER_CONTRIBUTIONS, encoding="utf-8")
+    teams = tmp_path / "teams.csv"
+    teams.write_text(ROSTER, encoding="utf-8")
+    out_dir = tmp_path / "forensics"
+    argv = ["reciprocal", "--contributions", str(contributions), "--teams", str(teams),
+            "--out-dir", str(out_dir)]
+    assert main(argv + (["--weighted"] if weighted else [])) == 0
+    suffix = "_weighted" if weighted else ""
+    assert_golden(out_dir / "reciprocal_report.csv", f"reciprocal_report{suffix}.csv")
+    assert_golden(out_dir / "cross_category.csv", f"cross_category{suffix}.csv")
+
+
+def test_simulate_sample_round_bytes(tmp_path, capsys):
+    out_dir = tmp_path / "round"
+    assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", str(out_dir)]) == 0
+    for name in ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json"):
+        assert_golden(out_dir / name, f"sample_round/{name}")
