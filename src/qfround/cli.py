@@ -8,14 +8,13 @@ requested files; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 from . import efficiency, equilibrium, ledger, roundsim, strategy
-from .errors import DomainError
+from .errors import DomainError, LedgerFormatError
 from .funding import ProjectLedger, group_ledgers
 from .report import PROJECT_COLUMNS, build_report
 
@@ -41,14 +40,6 @@ def _write_or_stdout(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write rows with csv: floats as repr, None as an empty field."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_allocate(args) -> int:
     ledgers = _ledgers_from_file(args.contributions)
     pools = ledger.load_pools(args.pools)
@@ -56,7 +47,7 @@ def _cmd_allocate(args) -> int:
     _write_or_stdout(report.to_json(), args.json)
     if args.csv:
         rows = ((block.category, *p.row()) for block in report.categories for p in block.projects)
-        _write_csv(args.csv, ("category", *PROJECT_COLUMNS), rows)
+        ledger.write_rows(args.csv, ("category", *PROJECT_COLUMNS), rows)
     return 0
 
 
@@ -178,28 +169,30 @@ def _cmd_equilibrium(args) -> int:
 
 
 def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.AgentSpec]]:
-    """Parse the JSON round description (categories, events, agents)."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    config = roundsim.RoundConfig(
-        categories=tuple(
-            roundsim.CategorySpec(c["name"], float(c["pool"]), tuple(c["projects"]))
-            for c in data["categories"]
-        ),
-        duration_days=int(data["duration_days"]),
-        pool_events=tuple(
-            roundsim.PoolEvent(int(e["day"]), e["category"], float(e["new_pool"]))
-            for e in data.get("pool_events", ())
-        ),
-        seed=int(data.get("seed", 0)),
-    )
-    agents = []
-    for raw in data.get("agents", ()):
-        kind = raw["kind"]
-        agents.append(
+    """Parse the JSON round description (categories, events, agents).
+
+    A file that is not such a description raises LedgerFormatError
+    ``path:line: reason`` for a JSON syntax error, ``path: reason`` otherwise.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        config = roundsim.RoundConfig(
+            categories=tuple(
+                roundsim.CategorySpec(c["name"], float(c["pool"]), tuple(c["projects"]))
+                for c in data["categories"]
+            ),
+            duration_days=int(data["duration_days"]),
+            pool_events=tuple(
+                roundsim.PoolEvent(int(e["day"]), e["category"], float(e["new_pool"]))
+                for e in data.get("pool_events", ())
+            ),
+            seed=int(data.get("seed", 0)),
+        )
+        agents = [
             roundsim.AgentSpec(
                 agent_id=raw["id"],
-                kind=kind,
+                kind=raw["kind"],
                 budget=float(raw["budget"]),
                 activity=float(raw.get("activity", 1.0)),
                 valuations=tuple(
@@ -212,7 +205,14 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
                 own_project=raw.get("own_project", ""),
                 defects_from_round=raw.get("defects_from_round"),
             )
-        )
+            for raw in data.get("agents", ())
+        ]
+    except json.JSONDecodeError as exc:
+        raise LedgerFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except KeyError as exc:
+        raise LedgerFormatError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise LedgerFormatError(f"{path}: {exc}") from None
     return config, agents
 
 
@@ -256,13 +256,14 @@ def _cmd_reciprocal(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "reciprocal_report.csv"
     columns = [f.name for f in fields(ledger.ProjectReciprocity)]
-    _write_csv(report_path, columns, (
+    ledger.write_rows(report_path, columns, (
         [f"{v:g}" if isinstance(v, float) else v for v in (getattr(row, c) for c in columns)]
         for row in report.rows
     ))
     cross_path = out_dir / "cross_category.csv"
     columns = [f.name for f in fields(ledger.CategoryCross)]
-    _write_csv(cross_path, columns, ([getattr(row, c) for c in columns] for row in cross.rows))
+    rows = ([getattr(row, c) for c in columns] for row in cross.rows)
+    ledger.write_rows(cross_path, columns, rows)
     if cross.single_category:
         print("warning: single-category graph, cross shares are trivially 0", file=sys.stderr)
 

@@ -15,7 +15,6 @@ far the scaled allocation is from equalizing marginal benefits.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections.abc import Iterable, Sequence
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from .concentration import sqrt_shares
 from .errors import DomainError
 from .funding import ProjectLedger
+from .ledger import write_rows
 
 __all__ = [
     "LambdaReport",
@@ -101,11 +101,7 @@ def format_profile_label(amounts: Sequence[float]) -> str:
     return ":".join(f"{a:g}" for a in amounts)
 
 
-def k_sweep(
-    ratio_profiles: Sequence[Sequence[float]],
-    k_grid: Sequence[float],
-    labels: Sequence[str] | None = None,
-) -> list[SweepPoint]:
+def k_sweep(ratio_profiles: Sequence[Sequence[float]], k_grid: Sequence[float]) -> list[SweepPoint]:
     """Evaluate lambda_p for each contribution profile over a grid of k values.
 
     Profiles are contribution vectors (only their ratios matter); the output
@@ -113,21 +109,16 @@ def k_sweep(
     """
     if not k_grid:
         raise DomainError("k grid must be nonempty")
-    if labels is None:
-        labels = [format_profile_label(p) for p in ratio_profiles]
     points = []
-    for label, profile in zip(labels, ratio_profiles):
-        for k in k_grid:
-            points.append(SweepPoint(label, k, lambda_from_amounts(profile, k)))
+    for profile in ratio_profiles:
+        label = format_profile_label(profile)
+        points.extend(SweepPoint(label, k, lambda_from_amounts(profile, k)) for k in k_grid)
     return points
 
 
 def write_sweep_csv(points: Iterable[SweepPoint], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["profile_label", "k", "lambda_p"])
-        for point in points:
-            writer.writerow([point.profile_label, repr(point.k), repr(point.lambda_p)])
+    rows = ((p.profile_label, p.k, p.lambda_p) for p in points)
+    write_rows(path, ("profile_label", "k", "lambda_p"), rows)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 FAMILIES = ("sqrt", "log")
+#: Step damping of the best-response sweeps and of the endogenous-k loop.
+DAMPING = 0.5
+#: The endogenous-k loop stops once |delta k| < K_TOL, or after MAX_OUTER steps.
+K_TOL = 1e-6
+MAX_OUTER = 200
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,6 @@ def best_response(
     budgets: Mapping[str, float] | None = None,
     *,
     max_iter: int = 10_000,
-    damping: float = 0.5,
     tol: float = 1e-11,
     initial: Mapping[tuple[str, str], float] | None = None,
 ) -> EquilibriumResult:
@@ -229,10 +233,10 @@ def best_response(
         clamped = clamp(targets)
         delta = 0.0
         for key, target in targets.items():
-            step = damping * (target - current[key])
+            step = DAMPING * (target - current[key])
             current[key] += step
             delta = max(delta, abs(step) / max(1.0, target))
-        if delta / damping < tol:
+        if delta / DAMPING < tol:
             converged = True
             break
     # One exact, undamped in-place sweep: interior entries land on their
@@ -266,23 +270,18 @@ def best_response(
 def best_response_endogenous_k(
     valuations: Sequence[Valuation],
     pool: float,
-    *,
-    k_tol: float = 1e-6,
-    k_damping: float = 0.5,
-    max_outer: int = 200,
-    **solver_kwargs,
 ) -> tuple[EquilibriumResult, float]:
     """Experimental outer loop: re-derive k from the induced contributions.
 
     Alternates the exogenous-k solver with k' = (sum of requirements)/pool,
-    damped, until |delta k| < k_tol.  The inner game treats k as fixed, so
+    damped, until |delta k| < K_TOL.  The inner game treats k as fixed, so
     this is a heuristic fixed point, not a defined equilibrium concept.
     """
     if not math.isfinite(pool) or pool <= 0:
         raise DomainError(f"pool must be positive, got {pool!r}")
     k = 1.0
-    result = best_response(valuations, k, **solver_kwargs)
-    for _ in range(max_outer):
+    result = best_response(valuations, k)
+    for _ in range(MAX_OUTER):
         requirement = 0.0
         by_project: dict[str, list[float]] = {}
         for (cid, pid), amount in result.contributions.items():
@@ -293,10 +292,10 @@ def best_response_endogenous_k(
                 math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
             )
         k_next = max(requirement / pool, 1e-9)
-        if abs(k_next - k) < k_tol:
+        if abs(k_next - k) < K_TOL:
             return result, k
-        k += k_damping * (k_next - k)
-        result = best_response(valuations, k, initial=result.contributions, **solver_kwargs)
+        k += DAMPING * (k_next - k)
+        result = best_response(valuations, k, initial=result.contributions)
     return result, k
 
 
@@ -406,8 +405,6 @@ def max_foc_residual(
     valuations: Sequence[Valuation],
     contributions: Mapping[tuple[str, str], float],
     k: float,
-    *,
-    positive_floor: float = 0.0,
 ) -> float:
     """Largest |V'(F) * bracket - 1| over positive contributions (check helper)."""
     grouped = _group_by_project(list(valuations))
@@ -419,7 +416,7 @@ def max_foc_residual(
         funding = _funding(k, s_all, c_all)
         for v in vals:
             c = amounts[v.contributor_id]
-            if c <= positive_floor:
+            if c <= 0.0:
                 continue
             bracket = (s_all / math.sqrt(c)) / k + 1.0 - 1.0 / k
             worst = max(worst, abs(v.marginal(funding) * bracket - 1.0))

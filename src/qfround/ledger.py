@@ -31,6 +31,7 @@ __all__ = [
     "CategoryCross",
     "CrossCategoryReport",
     "read_rows",
+    "write_rows",
     "positive_field",
     "load_contributions",
     "write_contributions",
@@ -50,7 +51,6 @@ TEAMS_COLUMNS = ("project_id", "member_id")
 class RowError:
     line: int
     message: str
-    raw: str
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,14 @@ def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
         yield from enumerate(reader, start=2)
 
 
+def write_rows(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a header row, then ``rows``; csv writes a float as its repr, None as ""."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def positive_field(path, line: int, row: Mapping[str, str], column: str) -> float:
     """``row[column]`` as a positive finite float, else LedgerFormatError."""
     text = row[column]
@@ -95,32 +103,30 @@ def load_contributions(path) -> LoadResult:
     categories: dict[str, str] = {}
     errors: list[RowError] = []
     for line, row in read_rows(path, CONTRIBUTIONS_COLUMNS):
-        raw = ",".join("" if row.get(c) is None else str(row.get(c)) for c in CONTRIBUTIONS_COLUMNS)
         try:
             day = int(row["day"])
             amount = float(row["amount"])
         except (TypeError, ValueError) as exc:
-            errors.append(RowError(line, f"unparsable row: {exc}", raw))
+            errors.append(RowError(line, f"unparsable row: {exc}"))
             continue
         project = (row["project_id"] or "").strip()
         contributor = (row["contributor_id"] or "").strip()
         category = (row["category"] or "").strip()
         if not project or not contributor:
-            errors.append(RowError(line, "missing project or contributor id", raw))
+            errors.append(RowError(line, "missing project or contributor id"))
             continue
-        if not math.isfinite(amount) or amount <= 0:
-            errors.append(RowError(line, f"nonpositive amount {row['amount']!r}", raw))
-            continue
-        if day < 0:
-            errors.append(RowError(line, f"negative day {row['day']!r}", raw))
+        try:
+            record = Contribution(contributor, project, amount, day)
+        except DomainError as exc:
+            errors.append(RowError(line, str(exc)))
             continue
         if project in categories and categories[project] != category:
             errors.append(
-                RowError(line, f"category conflict for {project!r}: keeping {categories[project]!r}", raw)
+                RowError(line, f"category conflict for {project!r}: keeping {categories[project]!r}")
             )
         else:
             categories[project] = category
-        records.append(Contribution(contributor, project, amount, day))
+        records.append(record)
     return LoadResult(tuple(records), categories, tuple(errors))
 
 
@@ -129,19 +135,10 @@ def write_contributions(
     contributions: Iterable[Contribution],
     project_categories: Mapping[str, str],
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CONTRIBUTIONS_COLUMNS)
-        for record in contributions:
-            writer.writerow(
-                [
-                    record.day,
-                    project_categories.get(record.project_id, ""),
-                    record.project_id,
-                    record.contributor_id,
-                    repr(record.amount),
-                ]
-            )
+    write_rows(path, CONTRIBUTIONS_COLUMNS, (
+        (r.day, project_categories.get(r.project_id, ""), r.project_id, r.contributor_id, r.amount)
+        for r in contributions
+    ))
 
 
 @dataclass(frozen=True)

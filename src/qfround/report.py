@@ -68,8 +68,8 @@ class AllocationReport:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def build_report(

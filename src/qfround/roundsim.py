@@ -22,7 +22,6 @@ trajectory bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from collections.abc import Collection, Sequence
@@ -34,6 +33,7 @@ from .efficiency import lambda_from_amounts
 from .equilibrium import Valuation, solve_best_contribution
 from .errors import BudgetBreachError, DomainError
 from .funding import Contribution, group_ledgers, required_match
+from .ledger import CONTRIBUTIONS_COLUMNS, write_rows
 from .report import AllocationReport, build_report
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "PoolEvent",
     "RoundConfig",
     "AgentSpec",
-    "PanelRow",
     "EventJump",
     "RoundTrajectory",
     "QuadraticFit",
@@ -54,12 +53,7 @@ __all__ = [
     "write_deficit_curve",
 ]
 
-PANEL_COLUMNS = (
-    "day",
-    "category",
-    "project_id",
-    "contributor_id",
-    "amount",
+PANEL_COLUMNS = CONTRIBUTIONS_COLUMNS + (
     "sqrt_amount",
     "k_at_day",
     "post_event_flag",
@@ -98,7 +92,7 @@ class RoundConfig:
                 raise DomainError(f"duplicate category {category.name!r}")
             names.add(category.name)
             if not math.isfinite(category.pool) or category.pool <= 0:
-                raise DomainError(f"pool for {category.name!r} must be positive")
+                raise DomainError(f"pool for {category.name!r} must be positive and finite")
             for project in category.projects:
                 if project in seen:
                     raise DomainError(f"project {project!r} appears in more than one category")
@@ -109,7 +103,7 @@ class RoundConfig:
             if event.category not in names:
                 raise DomainError(f"pool event for unknown category {event.category!r}")
             if not math.isfinite(event.new_pool) or event.new_pool <= 0:
-                raise DomainError("pool event must set a positive pool")
+                raise DomainError("pool event must set a positive and finite pool")
 
     def project_category(self) -> dict[str, str]:
         return {p: c.name for c in self.categories for p in c.projects}
@@ -140,27 +134,20 @@ class AgentSpec:
         if self.kind not in ("honest", "reciprocal_colluder"):
             raise DomainError(f"unknown agent kind {self.kind!r}")
         if not math.isfinite(self.budget) or self.budget <= 0:
-            raise DomainError(f"budget must be positive, got {self.budget!r}")
+            raise DomainError(f"budget must be positive and finite, got {self.budget!r}")
         if not 0.0 <= self.activity <= 1.0:
             raise DomainError(f"activity must be in [0, 1], got {self.activity!r}")
         if self.kind == "honest":
             if self.fixed_amount is not None:
-                if self.fixed_amount <= 0 or not self.projects:
-                    raise DomainError("fixed agents need a positive amount and target projects")
+                if not 0.0 < self.fixed_amount < math.inf or not self.projects:
+                    raise DomainError(
+                        "fixed agents need a positive and finite amount and target projects"
+                    )
             elif not self.valuations:
                 raise DomainError(f"honest agent {self.agent_id!r} has no valuations")
         else:
             if not self.ring_id or not self.own_project:
                 raise DomainError(f"colluder {self.agent_id!r} needs ring_id and own_project")
-
-
-@dataclass(frozen=True)
-class PanelRow:
-    day: int
-    category: str
-    project_id: str
-    contributor_id: str
-    amount: float
 
 
 @dataclass(frozen=True)
@@ -179,24 +166,21 @@ class RoundTrajectory:
     k_by_day: tuple[dict[str, float | None], ...]
     m_qf_by_day: tuple[dict[str, float], ...]
     lambda_by_day: tuple[dict[str, float | None], ...]
-    panel: tuple[PanelRow, ...]
+    panel: tuple[Contribution, ...]
     event_jumps: tuple[EventJump, ...]
     final_pools: dict[str, float]
     final_report: AllocationReport
 
 
 class _RoundState:
-    def __init__(self, config: RoundConfig):
-        self.category_of = config.project_category()
-        self.amounts: dict[str, dict[str, float]] = {p: {} for p in self.category_of}
+    def __init__(self, projects: Collection[str]):
+        self.amounts: dict[str, dict[str, float]] = {p: {} for p in projects}
         self.spent: dict[str, float] = {}
-        self.panel: list[PanelRow] = []
+        self.panel: list[Contribution] = []
 
     def emit(self, day: int, agent: AgentSpec, project: str, amount: float) -> None:
         if amount <= 0.0:
             return
-        if project not in self.amounts:
-            raise DomainError(f"agent {agent.agent_id!r} targets unknown project {project!r}")
         already = self.spent.get(agent.agent_id, 0.0)
         if already + amount > agent.budget * (1.0 + 1e-9):
             raise BudgetBreachError(
@@ -205,7 +189,7 @@ class _RoundState:
         self.spent[agent.agent_id] = already + amount
         ledger = self.amounts[project]
         ledger[agent.agent_id] = ledger.get(agent.agent_id, 0.0) + amount
-        self.panel.append(PanelRow(day, self.category_of[project], project, agent.agent_id, amount))
+        self.panel.append(Contribution(agent.agent_id, project, amount, day))
 
     def remaining(self, agent: AgentSpec) -> float:
         return agent.budget - self.spent.get(agent.agent_id, 0.0)
@@ -216,16 +200,10 @@ class _RoundState:
             math.fsum(math.sqrt(a) for a in ledger.values()), math.fsum(ledger.values()), len(ledger)
         )
 
-    def category_requirement(self, category: CategorySpec) -> float:
-        return math.fsum(self.requirement(p) for p in category.projects)
 
-
-def _category_k(state: _RoundState, config: RoundConfig, pools: dict[str, float]) -> dict[str, float | None]:
-    out: dict[str, float | None] = {}
-    for category in config.categories:
-        required = state.category_requirement(category)
-        out[category.name] = required / pools[category.name] if required > 0.0 else None
-    return out
+def _k(required: float, pool: float) -> float | None:
+    """The scaling constant; undefined (None) while nothing needs a match."""
+    return required / pool if required > 0.0 else None
 
 
 def _ring_projects(agents: Sequence[AgentSpec]) -> dict[str, tuple[str, ...]]:
@@ -247,10 +225,10 @@ def run_round(
     ``defecting_agents`` lists colluders that abandon ring cooperation for
     this round (used by the repeated-round driver's trigger logic).
     """
-    state = _RoundState(config)
+    known = config.project_category()
+    state = _RoundState(known)
     pools = {c.name: float(c.pool) for c in config.categories}
     rings = _ring_projects(agents)
-    known = state.category_of
     for agent in agents:
         if agent.kind == "reciprocal_colluder":
             if agent.own_project not in known:
@@ -264,9 +242,11 @@ def run_round(
                         f"agent {agent.agent_id!r} targets unknown project {project!r}"
                     )
 
-    spec_of = {c.name: c for c in config.categories}
     rng = random.Random(config.seed)
     observed_k: dict[str, float] = {c.name: 1.0 for c in config.categories}
+    # Each category's requirement at the last night; nothing is emitted
+    # between a night and the next morning's pool events.
+    required: dict[str, float] = {c.name: 0.0 for c in config.categories}
     one_shot_done: set[str] = set()
     k_by_day: list[dict[str, float | None]] = []
     m_by_day: list[dict[str, float]] = []
@@ -277,21 +257,20 @@ def run_round(
         for event in config.pool_events:
             if event.day != day:
                 continue
-            required = state.category_requirement(spec_of[event.category])
-            old_pool = pools[event.category]
-            k_before = required / old_pool if required > 0.0 else None
-            k_after = required / event.new_pool if required > 0.0 else None
+            need, old_pool = required[event.category], pools[event.category]
             pools[event.category] = event.new_pool
+            k_before, k_after = _k(need, old_pool), _k(need, event.new_pool)
             jumps.append(EventJump(day, event.category, old_pool, event.new_pool, k_before, k_after))
 
         for agent in agents:
             draw = rng.random()  # always drawn so the stream stays aligned
             if draw >= agent.activity:
                 continue
-            if agent.kind == "reciprocal_colluder":
+            if agent.kind == "reciprocal_colluder" or agent.fixed_amount is not None:
                 if agent.agent_id in one_shot_done:
                     continue
                 one_shot_done.add(agent.agent_id)
+            if agent.kind == "reciprocal_colluder":
                 if agent.agent_id in defecting_agents:
                     state.emit(day, agent, agent.own_project, min(agent.budget, state.remaining(agent)))
                 else:
@@ -300,9 +279,6 @@ def run_round(
                     for project in targets:
                         state.emit(day, agent, project, min(share, state.remaining(agent)))
             elif agent.fixed_amount is not None:
-                if agent.agent_id in one_shot_done:
-                    continue
-                one_shot_done.add(agent.agent_id)
                 for project in agent.projects:
                     state.emit(day, agent, project, agent.fixed_amount)
             else:
@@ -314,7 +290,7 @@ def run_round(
                         math.sqrt(a) for cid, a in ledger.items() if cid != agent.agent_id
                     )
                     c_others = math.fsum(a for cid, a in ledger.items() if cid != agent.agent_id)
-                    k_obs = observed_k[state.category_of[project]]
+                    k_obs = observed_k[known[project]]
                     target = solve_best_contribution(
                         valuation, k_obs, s_others, c_others, hi_hint=max(1.0, 2.0 * own)
                     )
@@ -322,27 +298,24 @@ def run_round(
                     if top_up > 1e-12:
                         state.emit(day, agent, project, top_up)
 
-        nightly = _category_k(state, config, pools)
+        m_qf = {p: state.requirement(p) for p in sorted(known)}
+        for category in config.categories:
+            required[category.name] = math.fsum(m_qf[p] for p in category.projects)
+        nightly = {name: _k(need, pools[name]) for name, need in required.items()}
         k_by_day.append(nightly)
-        m_by_day.append({p: state.requirement(p) for p in sorted(known)})
+        m_by_day.append(m_qf)
         snapshot: dict[str, float | None] = {}
         for project in sorted(known):
-            k_cat = nightly[state.category_of[project]]
+            k_cat = nightly[known[project]]
             ledger = state.amounts[project]
             if k_cat is None or not ledger:
                 snapshot[project] = None
             else:
                 snapshot[project] = lambda_from_amounts(ledger.values(), k_cat)
         lambda_by_day.append(snapshot)
-        for category in config.categories:
-            if nightly[category.name] is not None:
-                observed_k[category.name] = nightly[category.name]
+        observed_k.update((name, k) for name, k in nightly.items() if k is not None)
 
-    ledgers = group_ledgers(
-        (Contribution(row.contributor_id, row.project_id, row.amount, row.day) for row in state.panel),
-        known,
-        known,
-    )
+    ledgers = group_ledgers(state.panel, known, known)
     final_report = build_report(ledgers, pools, strict=False)
     return RoundTrajectory(
         config=config,
@@ -440,39 +413,35 @@ def emit_panel(trajectory: RoundTrajectory, path) -> None:
     events = trajectory.config.pool_events
     first_event_day = min((e.day for e in events), default=None)
     increased = {e.category for e in events}
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PANEL_COLUMNS)
-        for row in trajectory.panel:
-            k_at_day = trajectory.k_by_day[row.day][row.category]
-            writer.writerow(
-                [
-                    row.day,
-                    row.category,
-                    row.project_id,
-                    row.contributor_id,
-                    repr(row.amount),
-                    repr(math.sqrt(row.amount)),
-                    "" if k_at_day is None else repr(k_at_day),
-                    1 if first_event_day is not None and row.day >= first_event_day else 0,
-                    1 if row.category in increased else 0,
-                ]
+    category_of = trajectory.config.project_category()
+
+    def rows():
+        for record in trajectory.panel:
+            category = category_of[record.project_id]
+            yield (
+                record.day,
+                category,
+                record.project_id,
+                record.contributor_id,
+                record.amount,
+                math.sqrt(record.amount),
+                trajectory.k_by_day[record.day][category],
+                1 if first_event_day is not None and record.day >= first_event_day else 0,
+                1 if category in increased else 0,
             )
+
+    write_rows(path, PANEL_COLUMNS, rows())
 
 
 def write_k_series(trajectory: RoundTrajectory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["day", "category", "k"])
-        for day, by_category in enumerate(trajectory.k_by_day):
-            for category in sorted(by_category):
-                value = by_category[category]
-                writer.writerow([day, category, "" if value is None else repr(value)])
+    write_rows(path, ("day", "category", "k"), (
+        (day, category, by_category[category])
+        for day, by_category in enumerate(trajectory.k_by_day)
+        for category in sorted(by_category)
+    ))
 
 
 def write_deficit_curve(curve: DeficitCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["project_id", "m_qf", "contributor_count"])
-        for point in curve.points:
-            writer.writerow([point.project_id, repr(point.m_qf), point.contributor_count])
+    write_rows(path, ("project_id", "m_qf", "contributor_count"), (
+        (point.project_id, point.m_qf, point.contributor_count) for point in curve.points
+    ))

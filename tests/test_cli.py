@@ -418,3 +418,62 @@ class TestMalformedRows:
         valuations.write_text(VALUATIONS + row, encoding="utf-8")
         assert main(["equilibrium", "--valuations", str(valuations), "--k", "1.0"]) == 1
         assert f"{valuations}:{line}: " in capsys.readouterr().err
+
+
+class TestLoaderReasons:
+    """Bad contribution rows are reported one per line and skipped."""
+
+    BAD_ROWS = (
+        "2,main,p1,dave,nan\n"
+        "2,main,p1,erin,1e400\n"
+        "2,main,p1,frank,-2\n"
+        "2,main,p1,gina,abc\n"
+        "-1,main,p1,hank,1\n"
+        "3,main,,ivan,1\n"
+    )
+
+    def test_each_bad_row_has_a_reason(self, round_files, tmp_path, capsys):
+        contributions, pools = round_files
+        assert main(["allocate", "--contributions", str(contributions), "--pools", str(pools)]) == 0
+        clean = capsys.readouterr().out
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text(CONTRIBUTIONS + self.BAD_ROWS, encoding="utf-8")
+        assert main(["allocate", "--contributions", str(dirty), "--pools", str(pools)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == [f"{dirty}:{n}" for n in range(5, 11)]
+        assert "finite" in lines[0] and "finite" in lines[1]
+        assert captured.out == clean
+
+
+def write_round(tmp_path, text: str):
+    config = tmp_path / "round.json"
+    config.write_text(text, encoding="utf-8")
+    return config
+
+
+class TestMalformedRoundFile:
+    """A round file that cannot be read as a round is a data error: exit
+    code 1, a ``path: reason`` message and no traceback."""
+
+    def test_category_without_projects(self, tmp_path, capsys):
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        del broken["categories"][1]["projects"]
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: " in err and "projects" in err
+
+    def test_truncated_file(self, tmp_path, capsys):
+        truncated = json.dumps(SIM_CONFIG, indent=2)[:500]
+        config = write_round(tmp_path, truncated)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        last_line = truncated.count("\n") + 1  # the parser gives up at the end of the file
+        assert f"{config}:{last_line}: " in capsys.readouterr().err
+
+    def test_infinite_pool(self, tmp_path, capsys):
+        text = json.dumps(SIM_CONFIG).replace('"pool": 50.0', '"pool": Infinity')
+        config = write_round(tmp_path, text)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: " in err and "positive and finite" in err

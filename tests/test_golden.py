@@ -1,8 +1,9 @@
-"""Byte-for-byte regression tests of the command-line output files.
+"""Byte-for-byte regression tests of the command-line and writer outputs.
 
-Each expected file under ``tests/golden/`` is the exact output of one
-command on a small fixed input, so any change to a formula, a summation
-order or a writer's formatting shows up as a failing comparison.
+Each expected file under ``tests/golden/`` is the exact output (a file or
+stdout) of one command or writer function on a small fixed input, so any
+change to a formula, a summation order or a writer's formatting shows up
+as a failing comparison.
 """
 
 from pathlib import Path
@@ -11,6 +12,9 @@ import pytest
 from test_cli import CONTRIBUTIONS, POOLS
 
 from qfround.cli import main
+from qfround.efficiency import k_sweep, write_sweep_csv
+from qfround.funding import Contribution
+from qfround.ledger import write_contributions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE_ROUND = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
@@ -95,3 +99,33 @@ def test_simulate_sample_round_bytes(tmp_path, capsys):
     assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", str(out_dir)]) == 0
     for name in ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json"):
         assert_golden(out_dir / name, f"sample_round/{name}")
+
+
+def test_write_contributions_bytes(tmp_path):
+    records = (
+        Contribution("alice", "p1", 4.0, 0),
+        Contribution("bob", "p1", 0.1, 3),
+        Contribution("carol, jr.", "p2", 1.0 / 3.0, 7),
+        Contribution('dave "d"', "p3", 1e-3, 2),
+        Contribution("erin", "p2", 2.5e17, 11),
+        Contribution("frank", "p2", 3, 1),
+    )
+    path = tmp_path / "contributions.csv"
+    write_contributions(path, records, {"p1": "infra", "p2": "apps"})
+    assert_golden(path, "contributions.csv")
+
+
+def test_write_sweep_csv_bytes(tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(k_sweep([(1, 2), (1, 1, 3), (0.5, 7)], [1.0, 1.5, 2.0 / 3.0, 12.0]), path)
+    assert_golden(path, "sweep.csv")
+
+
+def test_sweep_k_default_stdout_bytes(capsys):
+    assert main(["sweep-k"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k.txt").read_bytes()
+
+
+def test_collusion_sweep_stdout_bytes(capsys):
+    assert main(["collusion", "--sweep"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "collusion_sweep.txt").read_bytes()
