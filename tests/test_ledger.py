@@ -206,6 +206,49 @@ class TestBuildGraph:
         graph = build_graph(contributions, roster, {})
         assert set(graph.edges) == {("A", "C"), ("B", "C")}
 
+    @given(
+        teams=st.dictionaries(
+            st.sampled_from(["A", "B", "C", "D", "E"]),
+            st.frozensets(st.sampled_from(["m1", "m2", "m3", "m4"]), min_size=1, max_size=3),
+            min_size=1,
+        ),
+        records=st.lists(
+            st.tuples(
+                st.sampled_from(["m1", "m2", "m3", "m4", "outsider"]),
+                st.sampled_from(["A", "B", "C", "D", "E", "F"]),
+                st.sampled_from([0.5, 1.0, 2.25, 7.0, 1e6]),
+            ),
+            max_size=25,
+        ),
+        labels=st.dictionaries(st.sampled_from(["A", "B", "C", "D", "F"]), st.sampled_from(["x", "y"])),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_definition(self, teams, records, labels):
+        roster = TeamRoster(teams)
+        contributions = [Contribution(cid, pid, amount, 0) for cid, pid, amount in records]
+        graph = build_graph(contributions, roster, labels)
+
+        def given_to(source: str, target: str) -> list[float]:
+            return [c.amount for c in contributions
+                    if c.project_id == target and c.contributor_id in teams[source]]
+
+        nodes = set(teams) | {c.project_id for c in contributions}
+        edges = {(a, b) for a in teams for b in nodes if a != b and given_to(a, b)}
+        self_support = {a: len(given_to(a, a)) for a in teams if given_to(a, a)}
+        assert set(graph.edges) == edges
+        assert graph.self_support == self_support
+        assert graph.categories == {node: labels.get(node, "") for node in nodes}
+        for node in nodes:
+            targets = {b for (a, b) in edges if a == node}
+            assert graph.outdegree(node) == len(targets)
+            assert graph.out_neighbors(node) == targets
+            assert graph.reciprocal_partners(node) == {b for b in targets if (b, node) in edges}
+        weighted = reciprocity_stats(graph, weighted=True)
+        assert [row.project_id for row in weighted.rows] == sorted(nodes)
+        for row in weighted.rows:
+            amounts = [x for (a, b) in edges if a == row.project_id for x in given_to(a, b)]
+            assert row.outdegree == pytest.approx(sum(amounts), rel=1e-12, abs=0.0)
+
 
 class TestReciprocityStats:
     def test_perfect_mutual_triangle(self):
