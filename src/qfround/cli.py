@@ -168,41 +168,57 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
+def _string(value, key: str) -> str:
+    """A round file's id exactly as given; anything but a JSON string is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.AgentSpec]]:
     """Parse the JSON round description (categories, events, agents).
 
     A file that is not such a description raises LedgerFormatError
     ``path:line: reason`` for a JSON syntax error, ``path: reason`` otherwise.
+    Every id (category, project, agent, ring) must be a JSON string.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         config = roundsim.RoundConfig(
             categories=tuple(
-                roundsim.CategorySpec(c["name"], float(c["pool"]), tuple(c["projects"]))
+                roundsim.CategorySpec(
+                    _string(c["name"], "name"),
+                    float(c["pool"]),
+                    tuple(_string(p, "projects") for p in c["projects"]),
+                )
                 for c in data["categories"]
             ),
             duration_days=int(data["duration_days"]),
             pool_events=tuple(
-                roundsim.PoolEvent(int(e["day"]), e["category"], float(e["new_pool"]))
+                roundsim.PoolEvent(
+                    int(e["day"]), _string(e["category"], "category"), float(e["new_pool"])
+                )
                 for e in data.get("pool_events", ())
             ),
             seed=int(data.get("seed", 0)),
         )
         agents = [
             roundsim.AgentSpec(
-                agent_id=raw["id"],
+                agent_id=_string(raw["id"], "id"),
                 kind=raw["kind"],
                 budget=float(raw["budget"]),
                 activity=float(raw.get("activity", 1.0)),
                 valuations=tuple(
-                    equilibrium.Valuation(raw["id"], v["project"], v["family"], float(v["scale"]))
+                    equilibrium.Valuation(
+                        raw["id"], _string(v["project"], "project"), v["family"], float(v["scale"])
+                    )
                     for v in raw.get("valuations", ())
                 ),
                 fixed_amount=float(raw["fixed_amount"]) if "fixed_amount" in raw else None,
-                projects=tuple(raw.get("projects", ())),
-                ring_id=raw.get("ring", ""),
-                own_project=raw.get("own_project", ""),
+                projects=tuple(_string(p, "projects") for p in raw.get("projects", ())),
+                ring_id=_string(raw.get("ring", ""), "ring"),
+                own_project=_string(raw.get("own_project", ""), "own_project"),
                 defects_from_round=raw.get("defects_from_round"),
             )
             for raw in data.get("agents", ())
@@ -351,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

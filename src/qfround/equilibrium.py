@@ -49,6 +49,8 @@ __all__ = [
 FAMILIES = ("sqrt", "log")
 #: Step damping of the best-response sweeps and of the endogenous-k loop.
 DAMPING = 0.5
+#: best_response converges once every undamped step is below TOL * max(1, target).
+TOL = 1e-11
 #: The endogenous-k loop stops once |delta k| < K_TOL, or after MAX_OUTER steps.
 K_TOL = 1e-6
 MAX_OUTER = 200
@@ -166,7 +168,6 @@ def best_response(
     budgets: Mapping[str, float] | None = None,
     *,
     max_iter: int = 10_000,
-    tol: float = 1e-11,
     initial: Mapping[tuple[str, str], float] | None = None,
 ) -> EquilibriumResult:
     """Damped simultaneous best-response iteration to a fixed point.
@@ -174,7 +175,7 @@ def best_response(
     Projects are independent subproblems; budgets, when given, cap each
     contributor's total by proportional scaling and the affected entries are
     reported in ``clamped`` (their first-order conditions need not hold).
-    A sweep converges when every undamped step is below ``tol`` times
+    A sweep converges when every undamped step is below ``TOL`` times
     max(1, target): the bisection resolves roots to 1e-12 relative, so an
     absolute test could never pass for large amounts.  Non-convergence after
     ``max_iter`` sweeps returns converged=False rather than a silent answer.
@@ -236,7 +237,7 @@ def best_response(
             step = DAMPING * (target - current[key])
             current[key] += step
             delta = max(delta, abs(step) / max(1.0, target))
-        if delta / DAMPING < tol:
+        if delta / DAMPING < TOL:
             converged = True
             break
     # One exact, undamped in-place sweep: interior entries land on their

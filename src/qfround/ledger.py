@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, LedgerFormatError
@@ -23,7 +23,6 @@ __all__ = [
     "RowError",
     "LoadResult",
     "TeamRoster",
-    "EdgeInfo",
     "ContributionGraph",
     "SlopeFit",
     "ProjectReciprocity",
@@ -64,17 +63,23 @@ def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """Yield ``(line, row)`` for each data row of a CSV file with a header.
 
     The header must name every column in ``columns`` (extras are ignored);
-    otherwise, or for an empty file, LedgerFormatError is raised.
+    otherwise, or for an empty file, a file that is not UTF-8 text or one
+    that csv cannot parse, LedgerFormatError is raised.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise LedgerFormatError(f"{path}: empty file, expected a header row")
-        missing = [column for column in columns if column not in header]
-        if missing:
-            raise LedgerFormatError(f"{path}: missing columns: {', '.join(missing)}")
-        yield from enumerate(reader, start=2)
+        try:
+            header = reader.fieldnames
+            if header is None:
+                raise LedgerFormatError(f"{path}: empty file, expected a header row")
+            missing = [column for column in columns if column not in header]
+            if missing:
+                raise LedgerFormatError(f"{path}: missing columns: {', '.join(missing)}")
+            yield from enumerate(reader, start=2)
+        except UnicodeDecodeError as exc:
+            raise LedgerFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise LedgerFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
 
 
 def write_rows(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
@@ -192,22 +197,16 @@ def load_budgets(path) -> dict[str, float]:
 
 
 @dataclass(frozen=True)
-class EdgeInfo:
-    backers: int  # distinct team members of the source backing the target
-    records: int
-    amount: float
-
-
-@dataclass(frozen=True)
 class ContributionGraph:
+    #: node -> category; its keys are the graph's nodes
     categories: dict[str, str]
-    edges: dict[tuple[str, str], EdgeInfo]
+    #: (A, B) -> the amount that A's team members gave B
+    edges: dict[tuple[str, str], float]
     self_support: dict[str, int]
-    nodes: frozenset[str] = field(default_factory=frozenset)
 
     @cached_property
     def _adjacency(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {node: set() for node in self.nodes}
+        out: dict[str, set[str]] = {node: set() for node in self.categories}
         for (a, b) in self.edges:
             out[a].add(b)
         return {node: frozenset(targets) for node, targets in out.items()}
@@ -234,30 +233,19 @@ def build_graph(
     ``self_support`` instead.
     """
     teams_of = roster.teams_of()
-    backing: dict[tuple[str, str], set[str]] = {}
-    records: dict[tuple[str, str], int] = {}
-    amounts: dict[tuple[str, str], float] = {}
+    edges: dict[tuple[str, str], float] = {}
     self_support: dict[str, int] = {}
     nodes: set[str] = set(roster.members)
     for record in contributions:
         nodes.add(record.project_id)
-        sources = teams_of.get(record.contributor_id)
-        if not sources:
-            continue
-        for source in sources:
+        for source in teams_of.get(record.contributor_id, ()):
             if source == record.project_id:
                 self_support[source] = self_support.get(source, 0) + 1
                 continue
             key = (source, record.project_id)
-            backing.setdefault(key, set()).add(record.contributor_id)
-            records[key] = records.get(key, 0) + 1
-            amounts[key] = amounts.get(key, 0.0) + record.amount
-    edges = {
-        key: EdgeInfo(len(members), records[key], amounts[key])
-        for key, members in backing.items()
-    }
+            edges[key] = edges.get(key, 0.0) + record.amount
     labels = {node: (categories or {}).get(node, "") for node in nodes}
-    return ContributionGraph(labels, edges, self_support, frozenset(nodes))
+    return ContributionGraph(labels, edges, self_support)
 
 
 @dataclass(frozen=True)
@@ -311,10 +299,10 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
     squares with intercept and are absent (None) when fewer than two
     projects have positive outdegree.
     """
-    if not graph.nodes:
+    if not graph.categories:
         raise DomainError("empty graph")
     rows = []
-    for node in sorted(graph.nodes):
+    for node in sorted(graph.categories):
         targets = graph.out_neighbors(node)
         mutual = graph.reciprocal_partners(node)
         cross_targets = {b for b in targets if graph.categories[b] != graph.categories[node]}
@@ -323,7 +311,7 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
         def measure(group: set[str]) -> float:
             if not weighted:
                 return float(len(group))
-            return math.fsum(graph.edges[(node, b)].amount for b in group)
+            return math.fsum(graph.edges[(node, b)] for b in group)
 
         rows.append(
             ProjectReciprocity(
@@ -336,18 +324,12 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
             )
         )
     active = [row for row in rows if row.outdegree > 0]
-    slope = None
-    if len(active) >= 2:
-        slope = _ols([r.outdegree for r in active], [r.reciprocal for r in active])
+    slope = _ols([r.outdegree for r in active], [r.reciprocal for r in active])
     cross_active = [row for row in rows if row.cross_outdegree > 0]
-    cross_cross = None
-    cross_total = None
-    if len(cross_active) >= 2:
-        cross_cross = _ols(
-            [r.cross_outdegree for r in cross_active], [r.cross_reciprocal for r in cross_active]
-        )
-    if len(active) >= 2:
-        cross_total = _ols([r.outdegree for r in active], [r.cross_reciprocal for r in active])
+    cross_cross = _ols(
+        [r.cross_outdegree for r in cross_active], [r.cross_reciprocal for r in cross_active]
+    )
+    cross_total = _ols([r.outdegree for r in active], [r.cross_reciprocal for r in active])
     return ReciprocityReport(tuple(rows), slope, cross_cross, cross_total, weighted)
 
 
@@ -375,11 +357,11 @@ def cross_category_stats(graph: ContributionGraph) -> CrossCategoryReport:
     coincide in expectation.  A single-category graph yields zero cross
     shares and sets the warning flag.
     """
-    if not graph.nodes:
+    if not graph.categories:
         raise DomainError("empty graph")
-    total = len(graph.nodes)
+    total = len(graph.categories)
     by_category: dict[str, list[str]] = {}
-    for node in sorted(graph.nodes):
+    for node in sorted(graph.categories):
         by_category.setdefault(graph.categories[node], []).append(node)
     single = len(by_category) < 2
     rows = []

@@ -168,7 +168,6 @@ class RoundTrajectory:
     lambda_by_day: tuple[dict[str, float | None], ...]
     panel: tuple[Contribution, ...]
     event_jumps: tuple[EventJump, ...]
-    final_pools: dict[str, float]
     final_report: AllocationReport
 
 
@@ -324,7 +323,6 @@ def run_round(
         lambda_by_day=tuple(lambda_by_day),
         panel=tuple(state.panel),
         event_jumps=tuple(jumps),
-        final_pools=pools,
         final_report=final_report,
     )
 

@@ -218,16 +218,14 @@ def repeated_game_simulate(
     continuation_prob: float | None = None,
     seed: int = 0,
     deviation_policy: str = "none",
-    deviate_round: int = 0,
-    deviators: Sequence[int] = (0,),
 ) -> RepeatedGameResult:
     """Play the ring game round by round under grim-trigger strategies.
 
     Everyone cooperates until the first observed defection; after it nobody
     invests in anyone else again (all later payoffs are 0).  Policies:
-    "none" keeps all players cooperative, "defect" makes ``deviators``
-    defect from ``deviate_round`` onward.  Run either a fixed ``horizon``
-    or open-ended with ``continuation_prob`` and a deterministic seed.
+    "none" keeps all players cooperative, "defect" makes player 0 defect
+    from round 0 onward.  Run either a fixed ``horizon`` or open-ended
+    with ``continuation_prob`` and a deterministic seed.
     Present values discount round t by (1+r)^-t.
     """
     if n < 2:
@@ -242,10 +240,7 @@ def repeated_game_simulate(
         raise DomainError(f"horizon must be at least 1, got {horizon!r}")
     if continuation_prob is not None and not 0.0 <= continuation_prob < 1.0:
         raise DomainError(f"continuation probability must be in [0, 1), got {continuation_prob!r}")
-    deviating = set(deviators) if deviation_policy == "defect" else set()
-    for player in deviating:
-        if not 0 <= player < n:
-            raise DomainError(f"deviator index {player!r} out of range for ring of {n}")
+    defector = 0 if deviation_policy == "defect" else None
 
     rng = random.Random(seed)
     cooperation: list[tuple[bool, ...]] = []
@@ -254,10 +249,7 @@ def repeated_game_simulate(
     defection_seen = False
     t = 0
     while True:
-        mask = tuple(
-            (not defection_seen) and not (i in deviating and t >= deviate_round)
-            for i in range(n)
-        )
+        mask = tuple(not defection_seen and i != defector for i in range(n))
         stage = _stage_payoffs(mask, n, k, c)
         cooperation.append(mask)
         payoffs.append(stage)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import random
 
 import pytest
 
@@ -477,3 +479,132 @@ class TestMalformedRoundFile:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"{config}: " in err and "positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("categories", 1, "name"), 1),
+            (("agents", 4, "own_project"), ["x"]),
+            (("agents", 4, "ring"), [1]),
+            (("agents", 0, "valuations", 0, "project"), ["p"]),
+            (("agents", 0, "id"), 7),
+        ],
+        ids=["category_name", "own_project", "ring", "valuation_project", "agent_id"],
+    )
+    def test_non_string_id(self, tmp_path, capsys, where, value):
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        target = broken
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = value
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: {where[-1]} must be a string, got " in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    """A file that cannot be opened is a usage error (exit code 2); a CSV
+    file that is not UTF-8 text or not parsable as CSV is a data error
+    (exit code 1, ``path: reason``)."""
+
+    def test_contributions_directory(self, round_files, tmp_path, capsys):
+        _contributions, pools = round_files
+        assert main(["allocate", "--contributions", str(tmp_path), "--pools", str(pools)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_round_file_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_contributions_not_utf8(self, round_files, capsys):
+        contributions, pools = round_files
+        contributions.write_bytes(CONTRIBUTIONS.encode() + b"2,main,p1,\xffdave,1\n")
+        assert main(["allocate", "--contributions", str(contributions), "--pools", str(pools)]) == 1
+        assert f"error: {contributions}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_contributions_field_over_csv_limit(self, round_files, capsys):
+        contributions, pools = round_files
+        contributions.write_text(CONTRIBUTIONS + '2,main,p1,"' + "x" * 200_000, encoding="utf-8")
+        assert main(["allocate", "--contributions", str(contributions), "--pools", str(pools)]) == 1
+        assert f"error: {contributions}:5: field larger than field limit" in capsys.readouterr().err
+
+
+def value_paths(node, prefix=()):
+    """The path to every value nested in a JSON document, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from value_paths(child, prefix + (key,))
+
+
+class TestFuzz:
+    """Seeded mutations of valid inputs: the command exits 0, 1 or 2, never
+    raises, and explains a nonzero exit on stderr."""
+
+    REPLACEMENTS = (None, "", "x", [], {}, ["x"], True, -1, 0, 1.5, math.nan)
+    GARBLE = ("", "x", "-1", "nan", "1e400", "1.5", '"', "\x00", " ", ",")
+
+    @staticmethod
+    def run(capsys, argv, text):
+        try:
+            code = main(argv)
+        except Exception as exc:  # report the input that broke the command
+            pytest.fail(f"{argv[0]} raised {exc!r} on input:\n{text!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), text
+        if code:
+            assert "error:" in err, text
+
+    def test_round_file_mutations(self, tmp_path, capsys):
+        rng = random.Random(2020)
+        base = json.dumps(SIM_CONFIG, indent=1)
+        paths = list(value_paths(SIM_CONFIG))
+        config = tmp_path / "round.json"
+        argv = ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        for _ in range(600):
+            if rng.random() < 0.1:
+                text = base[: rng.randrange(len(base))]
+            else:
+                data = json.loads(base)
+                path = rng.choice(paths)
+                target = data
+                for step in path[:-1]:
+                    target = target[step]
+                target[path[-1]] = rng.choice(self.REPLACEMENTS)
+                text = json.dumps(data)
+            config.write_text(text, encoding="utf-8")
+            self.run(capsys, argv, text)
+
+    def test_contributions_mutations(self, round_files, tmp_path, capsys):
+        rng = random.Random(2020)
+        _contributions, pools = round_files
+        teams = tmp_path / "teams.csv"
+        teams.write_text("project_id,member_id\np1,bob\np2,alice\n", encoding="utf-8")
+        path = tmp_path / "fuzzed.csv"
+        commands = (
+            ["allocate", "--contributions", str(path), "--pools", str(pools)],
+            ["diagnose", "--contributions", str(path), "--pools", str(pools)],
+            ["reciprocal", "--contributions", str(path), "--teams", str(teams),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        for _ in range(200):
+            lines = [line.split(",") for line in CONTRIBUTIONS.splitlines()]
+            kind = rng.randrange(3)
+            if kind == 0:  # drop a column from the header, one row or every line
+                column = rng.randrange(len(lines[0]))
+                for fields in rng.choice(([lines[0]], [rng.choice(lines[1:])], lines)):
+                    del fields[column]
+            elif kind == 1:  # garble one field
+                fields = rng.choice(lines)
+                fields[rng.randrange(len(fields))] = rng.choice(self.GARBLE)
+            data = "\n".join(",".join(fields) for fields in lines).encode() + b"\n"
+            if kind == 2:  # insert a byte that is not UTF-8
+                at = rng.randrange(len(data) + 1)
+                data = data[:at] + bytes([rng.choice((0x80, 0xC3, 0xFF))]) + data[at:]
+            path.write_bytes(data)
+            self.run(capsys, rng.choice(commands), data)

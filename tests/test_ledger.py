@@ -195,8 +195,7 @@ class TestBuildGraph:
         ]
         graph = build_graph(contributions, roster, {})
         assert set(graph.edges) == {("A", "B"), ("B", "A"), ("A", "C"), ("D", "C")}
-        assert graph.edges[("A", "B")].backers == 2
-        assert graph.edges[("A", "B")].amount == pytest.approx(4.0)
+        assert graph.edges[("A", "B")] == pytest.approx(4.0)
         assert graph.self_support == {"C": 1}
         assert graph.outdegree("A") == 2
 
