@@ -6,6 +6,7 @@ change to a formula, a summation order or a writer's formatting shows up
 as a failing comparison.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from qfround.ledger import write_contributions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE_ROUND = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
+SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
 
 ROSTER_CONTRIBUTIONS = """day,category,project_id,contributor_id,amount
 0,x,B,a1,2
@@ -97,8 +99,23 @@ def test_reciprocal_bytes(tmp_path, capsys, weighted):
 def test_simulate_sample_round_bytes(tmp_path, capsys):
     out_dir = tmp_path / "round"
     assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", str(out_dir)]) == 0
-    for name in ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json"):
+    for name in SIMULATE_OUTPUTS:
         assert_golden(out_dir / name, f"sample_round/{name}")
+
+
+def test_simulate_topup_round_bytes(tmp_path, capsys):
+    """80 agents over 12 days at activity about 0.5: sqrt and log valuations,
+    repeated top-ups of one (agent, project) pair, binding budgets, a pool
+    event, a category whose pool exceeds its requirements (k < 1), fixed
+    agents and a four-member colluder ring."""
+    out_dir = tmp_path / "round"
+    config = GOLDEN / "topup_round" / "round.json"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    panel = (out_dir / "panel.csv").read_text(encoding="utf-8").splitlines()[1:]
+    pairs = Counter(tuple(row.split(",")[2:4]) for row in panel)
+    assert sum(1 for count in pairs.values() if count > 1) >= 10
+    for name in SIMULATE_OUTPUTS:
+        assert_golden(out_dir / name, f"topup_round/{name}")
 
 
 def test_write_contributions_bytes(tmp_path):
