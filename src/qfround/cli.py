@@ -143,6 +143,8 @@ def _cmd_equilibrium(args) -> int:
     valuations = equilibrium.load_valuations(args.valuations)
     budgets = ledger.load_budgets(args.budgets) if args.budgets else None
     result = equilibrium.best_response(valuations, args.k, budgets, max_iter=args.max_iter)
+    if not result.converged:
+        print(f"warning: best response did not converge in {result.iterations} sweeps", file=sys.stderr)
     contributions: dict[str, dict[str, float]] = {}
     for (cid, pid), amount in sorted(result.contributions.items()):
         contributions.setdefault(cid, {})[pid] = amount
@@ -175,12 +177,20 @@ def _string(value, key: str) -> str:
     return value
 
 
+def _strings(value, key: str) -> tuple[str, ...]:
+    """A round file's list of ids; a string is not split into characters but a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    return tuple(_string(item, key) for item in value)
+
+
 def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.AgentSpec]]:
     """Parse the JSON round description (categories, events, agents).
 
     A file that is not such a description raises LedgerFormatError
     ``path:line: reason`` for a JSON syntax error, ``path: reason`` otherwise.
-    Every id (category, project, agent, ring) must be a JSON string.
+    Every id (category, project, agent, ring) must be a JSON string, and
+    every list of project ids a JSON list.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -190,7 +200,7 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
                 roundsim.CategorySpec(
                     _string(c["name"], "name"),
                     float(c["pool"]),
-                    tuple(_string(p, "projects") for p in c["projects"]),
+                    _strings(c["projects"], "projects"),
                 )
                 for c in data["categories"]
             ),
@@ -216,7 +226,7 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
                     for v in raw.get("valuations", ())
                 ),
                 fixed_amount=float(raw["fixed_amount"]) if "fixed_amount" in raw else None,
-                projects=tuple(_string(p, "projects") for p in raw.get("projects", ())),
+                projects=_strings(raw.get("projects", []), "projects"),
                 ring_id=_string(raw.get("ring", ""), "ring"),
                 own_project=_string(raw.get("own_project", ""), "own_project"),
                 defects_from_round=raw.get("defects_from_round"),

@@ -171,9 +171,28 @@ class RoundTrajectory:
     final_report: AllocationReport
 
 
+#: 2**1074: the exact sums count units of 2**-1074, the smallest positive float.
+_UNITS = 1 << 1074
+
+
+def _exact(x: float) -> int:
+    """``x`` exactly, in units of 2**-1074 (every finite float is a whole number of them)."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
+
+
 class _RoundState:
+    """The round's ledgers with exact per-project sums of sqrt(amount) and amount.
+
+    The sums are ints in units of 2**-1074, so they carry no rounding error;
+    int / int true division rounds correctly, as ``math.fsum`` does, so a sum
+    read back equals an ``fsum`` rescan of the ledger bit for bit.
+    """
+
     def __init__(self, projects: Collection[str]):
         self.amounts: dict[str, dict[str, float]] = {p: {} for p in projects}
+        self.sqrt_sums: dict[str, int] = dict.fromkeys(projects, 0)
+        self.totals: dict[str, int] = dict.fromkeys(projects, 0)
         self.spent: dict[str, float] = {}
         self.panel: list[Contribution] = []
 
@@ -187,17 +206,24 @@ class _RoundState:
             )
         self.spent[agent.agent_id] = already + amount
         ledger = self.amounts[project]
-        ledger[agent.agent_id] = ledger.get(agent.agent_id, 0.0) + amount
+        old = ledger.get(agent.agent_id, 0.0)
+        new = ledger[agent.agent_id] = old + amount
+        self.sqrt_sums[project] += _exact(math.sqrt(new)) - _exact(math.sqrt(old))
+        self.totals[project] += _exact(new) - _exact(old)
         self.panel.append(Contribution(agent.agent_id, project, amount, day))
 
     def remaining(self, agent: AgentSpec) -> float:
         return agent.budget - self.spent.get(agent.agent_id, 0.0)
 
-    def requirement(self, project: str) -> float:
-        ledger = self.amounts[project]
-        return required_match(
-            math.fsum(math.sqrt(a) for a in ledger.values()), math.fsum(ledger.values()), len(ledger)
+    def others(self, project: str, own: float) -> tuple[float, float]:
+        """Square-root sum and plain sum of the project's ledger without ``own``."""
+        return (
+            (self.sqrt_sums[project] - _exact(math.sqrt(own))) / _UNITS,
+            (self.totals[project] - _exact(own)) / _UNITS,
         )
+
+    def requirement(self, project: str) -> float:
+        return required_match(*self.others(project, 0.0), len(self.amounts[project]))
 
 
 def _k(required: float, pool: float) -> float | None:
@@ -283,12 +309,8 @@ def run_round(
             else:
                 for valuation in sorted(agent.valuations, key=lambda v: v.project_id):
                     project = valuation.project_id
-                    ledger = state.amounts[project]
-                    own = ledger.get(agent.agent_id, 0.0)
-                    s_others = math.fsum(
-                        math.sqrt(a) for cid, a in ledger.items() if cid != agent.agent_id
-                    )
-                    c_others = math.fsum(a for cid, a in ledger.items() if cid != agent.agent_id)
+                    own = state.amounts[project].get(agent.agent_id, 0.0)
+                    s_others, c_others = state.others(project, own)
                     k_obs = observed_k[known[project]]
                     target = solve_best_contribution(
                         valuation, k_obs, s_others, c_others, hi_hint=max(1.0, 2.0 * own)

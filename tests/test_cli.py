@@ -228,6 +228,19 @@ class TestEquilibriumCommand:
         assert spent == pytest.approx(1.0, rel=1e-9)
         assert payload["clamped"]
 
+    def test_non_convergence_warns_on_stderr(self, tmp_path, capsys):
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(VALUATIONS, encoding="utf-8")
+        argv = ["equilibrium", "--valuations", str(valuations), "--k", "1.0"]
+        assert main(argv) == 0
+        converged = capsys.readouterr()
+        assert json.loads(converged.out)["converged"] and converged.err == ""
+        assert main(argv + ["--max-iter", "1"]) == 0
+        stopped = capsys.readouterr()
+        payload = json.loads(stopped.out)
+        assert not payload["converged"] and payload["iterations"] == 1
+        assert stopped.err == "warning: best response did not converge in 1 sweeps\n"
+
 
 SIM_CONFIG = {
     "seed": 5,
@@ -500,6 +513,24 @@ class TestMalformedRoundFile:
         config = write_round(tmp_path, json.dumps(broken))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         assert f"{config}: {where[-1]} must be a string, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where",
+        [("categories", 1, "projects"), ("agents", 2, "projects")],
+        ids=["category_projects", "agent_projects"],
+    )
+    def test_string_for_project_list(self, tmp_path, capsys, where):
+        # Split into characters, "ab" would name the real projects a and b.
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        broken["categories"][1]["projects"] = ["a", "b"]
+        broken["agents"][2]["projects"] = broken["agents"][3]["projects"] = ["a"]
+        target = broken
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = "ab"
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: projects must be a list, got 'ab'" in capsys.readouterr().err
 
 
 class TestUnreadableInputs:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfround.equilibrium import (
     Valuation,
@@ -115,6 +117,27 @@ class TestBestResponse:
             result = best_response(vals, k)
             assert result.converged
             assert max_foc_residual(vals, result.contributions, k) < 1e-6
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("c0", "c1", "c2", "c3")),
+                st.sampled_from(("p0", "p1", "p2")),
+                st.sampled_from(("sqrt", "log")),
+                st.floats(min_value=0.5, max_value=60.0),
+            ),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda row: row[:2],
+        ),
+        st.floats(min_value=0.5, max_value=50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_converged_runs_satisfy_first_order_conditions(self, rows, k):
+        vals = [Valuation(cid, pid, family, scale) for cid, pid, family, scale in rows]
+        result = best_response(vals, k)
+        assume(result.converged)
+        assert max_foc_residual(vals, result.contributions, k) <= 1e-6
 
     def test_budget_clamping_marks_entries(self):
         vals = [sqrt_val("a", "p1", 4.0), sqrt_val("a", "p2", 4.0)]

@@ -295,3 +295,79 @@ class TestLedgerType:
     def test_negative_day_rejected(self):
         with pytest.raises(DomainError):
             Contribution("a", "p", 1.0, day=-1)
+
+
+records_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(("a", "b", "c", "d", "e")),
+        st.sampled_from(("p1", "p2", "p3")),
+        st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=2,
+    max_size=20,
+).map(lambda rows: [Contribution(cid, pid, amount) for cid, pid, amount in rows])
+
+
+def allocate_records(records, pool, reverse_ledgers=False):
+    ledgers = group_ledgers(records, {})
+    if reverse_ledgers:
+        ledgers.reverse()
+    return cqf_allocate(ledgers, pool)
+
+
+class TestAllocationInvariances:
+    """Properties of cqf_allocate under regrouping of the same contributions."""
+
+    @given(records_strategy, st.floats(min_value=0.1, max_value=500.0), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_shuffled_contributions_give_identical_outcomes(self, records, pool, rnd):
+        """Any reordering of the records, and of the ledgers, gives the same bits.
+
+        One contributor's repeated records to one project keep their relative
+        order: their amounts are summed as floats in record order before the
+        square root is taken.
+        """
+        if sum(matching_requirement(l) for l in group_ledgers(records, {})) <= 0.0:
+            return
+        shuffled = records[:]
+        rnd.shuffle(shuffled)
+        per_pair = {}
+        for record in records:
+            per_pair.setdefault((record.contributor_id, record.project_id), []).append(record)
+        queues = {pair: iter(rows) for pair, rows in per_pair.items()}
+        shuffled = [next(queues[(r.contributor_id, r.project_id)]) for r in shuffled]
+        before = allocate_records(records, pool)
+        after = allocate_records(shuffled, pool, reverse_ledgers=True)
+        assert after.by_project() == before.by_project()
+        assert after.pool_state == before.pool_state
+        assert after.surplus == before.surplus
+
+    @given(records_strategy, st.floats(min_value=0.01, max_value=0.99), st.integers(0, 19),
+           st.floats(min_value=0.1, max_value=500.0))
+    @settings(max_examples=150)
+    def test_splitting_one_record_changes_nothing(self, records, fraction, index, pool):
+        if sum(matching_requirement(l) for l in group_ledgers(records, {})) <= 0.0:
+            return
+        index %= len(records)
+        whole = records[index]
+        part = whole.amount * fraction
+        split = records[:index] + [
+            Contribution(whole.contributor_id, whole.project_id, part),
+            Contribution(whole.contributor_id, whole.project_id, whole.amount - part),
+        ] + records[index + 1:]
+        before = allocate_records(records, pool)
+        after = allocate_records(split, pool)
+        assert after.pool_state.k == pytest.approx(before.pool_state.k, rel=1e-12)
+        for project, outcome in before.by_project().items():
+            other = after.by_project()[project]
+            for name in ("f_qf", "m_qf", "m_actual", "f_actual"):
+                assert getattr(other, name) == pytest.approx(getattr(outcome, name), rel=1e-12)
+
+    @given(st.lists(amounts_strategy, min_size=1, max_size=5),
+           st.floats(min_value=1e-3, max_value=1e12))
+    @settings(max_examples=150)
+    def test_doubling_the_pool_halves_k(self, rounds, pool):
+        ledgers = [ProjectLedger.from_amounts(f"p{i}", amounts) for i, amounts in enumerate(rounds)]
+        if sum(matching_requirement(l) for l in ledgers) <= 0.0:
+            return
+        assert compute_k(ledgers, 2.0 * pool) == compute_k(ledgers, pool) / 2.0

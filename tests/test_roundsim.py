@@ -4,15 +4,19 @@ import csv
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfround.equilibrium import Valuation
 from qfround.errors import BudgetBreachError, DomainError
+from qfround.funding import required_match
 from qfround.ledger import load_contributions
 from qfround.roundsim import (
     AgentSpec,
     CategorySpec,
     PoolEvent,
     RoundConfig,
+    _RoundState,
     deficit_curve,
     emit_panel,
     run_repeated_rounds,
@@ -403,3 +407,38 @@ class TestOutputs:
         assert stdev_rich == pytest.approx(0.0, abs=1e-9)
         assert k_poor > 1.0
         assert stdev_poor > stdev_rich + 1e-4
+
+
+class TestExactSums:
+    """The simulator's running per-project sums read back exactly what an
+    ``fsum`` rescan of the ledger gives, bit for bit."""
+
+    PROJECTS = ("p1", "p2", "p3")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.sampled_from(PROJECTS),
+                st.floats(min_value=1e-300, max_value=1e300) | st.floats(min_value=0.1, max_value=10.0),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sums_equal_fsum_rescans(self, emits):
+        agents = [fixed(f"a{i}", 1.0, ["p1"], budget=1e308) for i in range(5)]
+        state = _RoundState(self.PROJECTS)
+        for who, project, amount in emits:
+            state.emit(0, agents[who], project, amount)
+            ledger = state.amounts[project]
+            for contributor in (*ledger, "newcomer"):
+                others = [a for cid, a in ledger.items() if cid != contributor]
+                expected = (math.fsum(math.sqrt(a) for a in others), math.fsum(others))
+                assert state.others(project, ledger.get(contributor, 0.0)) == expected
+            for name in self.PROJECTS:
+                amounts = state.amounts[name].values()
+                assert state.requirement(name) == required_match(
+                    math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
+                )
