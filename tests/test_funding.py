@@ -308,11 +308,8 @@ records_strategy = st.lists(
 ).map(lambda rows: [Contribution(cid, pid, amount) for cid, pid, amount in rows])
 
 
-def allocate_records(records, pool, reverse_ledgers=False):
-    ledgers = group_ledgers(records, {})
-    if reverse_ledgers:
-        ledgers.reverse()
-    return cqf_allocate(ledgers, pool)
+def allocate_records(records, pool):
+    return cqf_allocate(group_ledgers(records, {}), pool)
 
 
 class TestAllocationInvariances:
@@ -337,7 +334,7 @@ class TestAllocationInvariances:
         queues = {pair: iter(rows) for pair, rows in per_pair.items()}
         shuffled = [next(queues[(r.contributor_id, r.project_id)]) for r in shuffled]
         before = allocate_records(records, pool)
-        after = allocate_records(shuffled, pool, reverse_ledgers=True)
+        after = cqf_allocate(group_ledgers(shuffled, {})[::-1], pool)
         assert after.by_project() == before.by_project()
         assert after.pool_state == before.pool_state
         assert after.surplus == before.surplus
