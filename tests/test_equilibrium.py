@@ -2,13 +2,15 @@
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfround.equilibrium import (
     Valuation,
+    _foc_lhs,
     best_response,
     best_response_endogenous_k,
     load_valuations,
@@ -73,6 +75,104 @@ class TestSolveBestContribution:
             funding = s * s / k + (1.0 - 1.0 / k) * (c_others + c)
             bracket = 1.0 + s_others / (k * math.sqrt(c))
             assert v.marginal(funding) * bracket == pytest.approx(1.0, abs=1e-8)
+
+
+def bisection_root(valuation, k, s_others, c_others):
+    """Reference root of the first-order condition: the solver's former bisection.
+
+    Brackets from 1 upward by doubling, then halves until the bracket is
+    below 1e-12 relative to its upper end.  Requires ``s_others > 0``.
+    """
+
+    def lhs(c):
+        root = math.sqrt(c)
+        s = s_others + root
+        funding = (s * s) / k + (1.0 - 1.0 / k) * (c_others + c)
+        return valuation.marginal(funding) * (1.0 + s_others / (k * root))
+
+    hi = 1.0
+    for _ in range(200):
+        if lhs(hi) < 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise AssertionError("failed to bracket the reference root")
+    lo = 0.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if lhs(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def root_tolerance(valuation, k, s_others, c_others, c):
+    """Relative distance within which two computed roots near ``c`` must agree.
+
+    1e-11, unless f is so flat in c that rounding decides the root: a
+    relative error e in f moves the root by e / |d ln f / d ln c|, taken
+    here with e at 32 ulps and the slope by a central difference.
+    """
+    up = _foc_lhs(valuation, k, s_others, c_others, c * math.exp(1e-4))
+    down = _foc_lhs(valuation, k, s_others, c_others, c * math.exp(-1e-4))
+    slope = abs(math.log(up) - math.log(down)) / 2e-4
+    return max(1e-11, 32.0 * sys.float_info.epsilon / slope)
+
+
+def _power_of_ten(low, high):
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0**e)
+
+
+#: (family, scale, k, s_others, c_others, start).  c_others is a fraction of
+#: s_others**2, as for any set of other contributors (one of them: all of it).
+SOLVER_CASES = st.tuples(
+    st.sampled_from(("sqrt", "log")),
+    _power_of_ten(-3.0, 3.0),
+    _power_of_ten(-2.0, 9.0),
+    _power_of_ten(-4.0, 4.0),
+    _power_of_ten(-3.0, 0.0),
+    _power_of_ten(-8.0, 8.0),
+).map(lambda t: (t[0], t[1], t[2], t[3], t[4] * t[3] * t[3], t[5]))
+#: Criterion 07's k = 1e9 case, where ln f is flat around the root.
+FLAT_CASE = ("sqrt", 1.8392543599952407, 1e9, 0.9197895559153109, 0.8460128255234554, 1.0)
+#: A log root near 4e-5 reached from a start near 2.4e4.
+FAR_START_CASE = (
+    "log", 0.030443025201585705, 0.6262526892119802, 7.015834957454978, 43.53926657795505, 2.4e4
+)
+
+
+class TestSolverAgainstBisection:
+    @given(SOLVER_CASES)
+    @example(FLAT_CASE)
+    @example(FAR_START_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_root_matches_bisection(self, case):
+        family, scale, k, s_others, c_others, start = case
+        valuation = Valuation("a", "p", family, scale)
+        expected = bisection_root(valuation, k, s_others, c_others)
+        got = solve_best_contribution(valuation, k, s_others, c_others, start)
+        tolerance = root_tolerance(valuation, k, s_others, c_others, expected)
+        assert abs(got - expected) <= tolerance * expected
+        assert _foc_lhs(valuation, k, s_others, c_others, got) == pytest.approx(1.0, abs=1e-8)
+
+    @given(SOLVER_CASES)
+    @example(FLAT_CASE)
+    @example(FAR_START_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_one_evaluation_decides_a_top_up(self, case):
+        # The left side falls in c, so its value at the current amount tells
+        # whether the best response lies above it.
+        family, scale, k, s_others, c_others, own = case
+        valuation = Valuation("a", "p", family, scale)
+        expected = bisection_root(valuation, k, s_others, c_others)
+        tolerance = root_tolerance(valuation, k, s_others, c_others, expected)
+        if _foc_lhs(valuation, k, s_others, c_others, own) <= 1.0:
+            assert expected <= own * (1.0 + tolerance)
+        else:
+            assert expected >= own * (1.0 - tolerance)
 
 
 class TestBestResponse:
