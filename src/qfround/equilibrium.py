@@ -37,6 +37,7 @@ __all__ = [
     "Valuation",
     "EquilibriumResult",
     "PlannerResult",
+    "foc_lhs",
     "solve_best_contribution",
     "best_response",
     "best_response_endogenous_k",
@@ -86,7 +87,8 @@ class Valuation:
         return self.scale / (1.0 + funding)
 
 
-def _foc_lhs(valuation: Valuation, k: float, s_others: float, c_others: float, c: float) -> float:
+def foc_lhs(valuation: Valuation, k: float, s_others: float, c_others: float, c: float) -> float:
+    """Left side of the first-order condition at ``c > 0``; it falls monotonically in c."""
     root = math.sqrt(c)
     s = s_others + root
     funding = (s * s) / k + (1.0 - 1.0 / k) * (c_others + c)
@@ -116,7 +118,7 @@ def solve_best_contribution(
         return max(0.0, valuation.scale - 1.0)
     hi = max(hi_hint, 1.0)
     for _ in range(200):
-        if _foc_lhs(valuation, k, s_others, c_others, hi) < 1.0:
+        if foc_lhs(valuation, k, s_others, c_others, hi) < 1.0:
             break
         hi *= 2.0
     else:  # pragma: no cover - marginal utility always decays to zero
@@ -126,7 +128,7 @@ def solve_best_contribution(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _foc_lhs(valuation, k, s_others, c_others, mid) > 1.0:
+        if foc_lhs(valuation, k, s_others, c_others, mid) > 1.0:
             lo = mid
         else:
             hi = mid

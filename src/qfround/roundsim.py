@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .efficiency import lambda_from_amounts
-from .equilibrium import Valuation, solve_best_contribution
+from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError
 from .funding import Contribution, group_ledgers, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_rows
@@ -312,6 +312,8 @@ def run_round(
                     own = state.amounts[project].get(agent.agent_id, 0.0)
                     s_others, c_others = state.others(project, own)
                     k_obs = observed_k[known[project]]
+                    if own > 0.0 and foc_lhs(valuation, k_obs, s_others, c_others, own) <= 1.0:
+                        continue  # the best response is at most own: nothing to top up
                     target = solve_best_contribution(
                         valuation, k_obs, s_others, c_others, hi_hint=max(1.0, 2.0 * own)
                     )

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from qfround.equilibrium import (
     Valuation,
-    _foc_lhs,
     best_response,
     best_response_endogenous_k,
+    foc_lhs,
     load_valuations,
     max_foc_residual,
     planner_optimum,
@@ -116,8 +116,8 @@ def root_tolerance(valuation, k, s_others, c_others, c):
     relative error e in f moves the root by e / |d ln f / d ln c|, taken
     here with e at 32 ulps and the slope by a central difference.
     """
-    up = _foc_lhs(valuation, k, s_others, c_others, c * math.exp(1e-4))
-    down = _foc_lhs(valuation, k, s_others, c_others, c * math.exp(-1e-4))
+    up = foc_lhs(valuation, k, s_others, c_others, c * math.exp(1e-4))
+    down = foc_lhs(valuation, k, s_others, c_others, c * math.exp(-1e-4))
     slope = abs(math.log(up) - math.log(down)) / 2e-4
     return max(1e-11, 32.0 * sys.float_info.epsilon / slope)
 
@@ -156,7 +156,7 @@ class TestSolverAgainstBisection:
         got = solve_best_contribution(valuation, k, s_others, c_others, start)
         tolerance = root_tolerance(valuation, k, s_others, c_others, expected)
         assert abs(got - expected) <= tolerance * expected
-        assert _foc_lhs(valuation, k, s_others, c_others, got) == pytest.approx(1.0, abs=1e-8)
+        assert foc_lhs(valuation, k, s_others, c_others, got) == pytest.approx(1.0, abs=1e-8)
 
     @given(SOLVER_CASES)
     @example(FLAT_CASE)
@@ -169,7 +169,7 @@ class TestSolverAgainstBisection:
         valuation = Valuation("a", "p", family, scale)
         expected = bisection_root(valuation, k, s_others, c_others)
         tolerance = root_tolerance(valuation, k, s_others, c_others, expected)
-        if _foc_lhs(valuation, k, s_others, c_others, own) <= 1.0:
+        if foc_lhs(valuation, k, s_others, c_others, own) <= 1.0:
             assert expected <= own * (1.0 + tolerance)
         else:
             assert expected >= own * (1.0 - tolerance)
