@@ -8,8 +8,10 @@ picks c_i to maximize V_i(F) - c_i, where with scaling constant k
 The interior first-order condition is V_i'(F) * (1 + S_others/(k*sqrt(c_i)))
 = 1, where S_others is the square-root sum of everyone else's amounts.  It
 has a unique positive root (the left side falls monotonically from +inf to
-0) found here by bisection.  A project nobody else funds reduces to
-V_i'(c_i) = 1, which can hit the c_i = 0 corner for the log family.
+0), found here by safeguarded Newton steps on ln f in ln c, where f is the
+left side; dF/dc equals the bracket, so the slope has a closed form.  A
+project nobody else funds reduces to V_i'(c_i) = 1, which can hit the
+c_i = 0 corner for the log family.
 
 The solver runs simultaneous best-response sweeps damped by 0.5 until the
 largest update, relative to max(1, target), is below tolerance, then one
@@ -86,12 +88,21 @@ class Valuation:
             return math.inf if funding == 0 else self.scale / (2.0 * math.sqrt(funding))
         return self.scale / (1.0 + funding)
 
+    def marginal_decay(self, funding: float) -> float:
+        """-d ln V'(F) / dF, the rate at which the marginal value falls (F > 0)."""
+        if self.family == "sqrt":
+            return 0.5 / funding
+        return 1.0 / (1.0 + funding)
+
+
+def _funding(k: float, s: float, c: float) -> float:
+    return (s * s) / k + (1.0 - 1.0 / k) * c
+
 
 def foc_lhs(valuation: Valuation, k: float, s_others: float, c_others: float, c: float) -> float:
     """Left side of the first-order condition at ``c > 0``; it falls monotonically in c."""
     root = math.sqrt(c)
-    s = s_others + root
-    funding = (s * s) / k + (1.0 - 1.0 / k) * (c_others + c)
+    funding = _funding(k, s_others + root, c_others + c)
     return valuation.marginal(funding) * (1.0 + s_others / (k * root))
 
 
@@ -100,14 +111,17 @@ def solve_best_contribution(
     k: float,
     s_others: float,
     c_others: float,
-    hi_hint: float = 1.0,
+    start: float = 1.0,
 ) -> float:
     """Best-response contribution given the rest of the project's ledger.
 
     ``s_others``/``c_others`` are the square-root sum and plain sum of the
-    other contributors' amounts.  Bisection runs until the bracket is below
-    1e-12 relative to the root, so even tiny interior roots satisfy their
-    first-order condition to well under 1e-6.
+    other contributors' amounts.  Newton's method on ln f in ln c, where f
+    is the first-order condition's left side, runs from ``start`` (1 when
+    it is not positive): every step is clipped to +-2 and falls back to the
+    midpoint of the sign bracket found so far when it would leave it.  It
+    stops once a step or the bracket is below 1e-13 relative, so even tiny
+    interior roots satisfy their first-order condition to well under 1e-6.
     """
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
@@ -116,23 +130,27 @@ def solve_best_contribution(
         if valuation.family == "sqrt":
             return (valuation.scale / 2.0) ** 2
         return max(0.0, valuation.scale - 1.0)
-    hi = max(hi_hint, 1.0)
+    c = start if start > 0.0 else 1.0
+    lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
     for _ in range(200):
-        if foc_lhs(valuation, k, s_others, c_others, hi) < 1.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - marginal utility always decays to zero
-        raise DomainError("failed to bracket the best-response root")
-    lo = 0.0
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if foc_lhs(valuation, k, s_others, c_others, mid) > 1.0:
-            lo = mid
+        root = math.sqrt(c)
+        bracket = 1.0 + s_others / (k * root)
+        funding = _funding(k, s_others + root, c_others + c)
+        lhs = valuation.marginal(funding) * bracket
+        if lhs > 1.0:
+            lo = c
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = c
+        if hi - lo <= 1e-13 * lo:  # both sides seen and close
+            return 0.5 * (lo + hi)
+        # d ln f / d ln c, using dF/dc = bracket.
+        slope = c * bracket * valuation.marginal_decay(funding) + 0.5 * (bracket - 1.0) / bracket
+        step = max(-2.0, min(2.0, math.log(lhs) / slope))
+        after = c * math.exp(step)
+        if abs(after - c) <= 1e-13 * c:
+            return after
+        c = after if lo < after < hi else 0.5 * (lo + hi)
+    raise DomainError("best-response root search did not converge")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -160,10 +178,6 @@ def _group_by_project(valuations: Sequence[Valuation]) -> dict[str, list[Valuati
     return grouped
 
 
-def _funding(k: float, s: float, c: float) -> float:
-    return (s * s) / k + (1.0 - 1.0 / k) * c
-
-
 def best_response(
     valuations: Sequence[Valuation],
     k: float,
@@ -178,8 +192,8 @@ def best_response(
     contributor's total by proportional scaling and the affected entries are
     reported in ``clamped`` (their first-order conditions need not hold).
     A sweep converges when every undamped step is below ``TOL`` times
-    max(1, target): the bisection resolves roots to 1e-12 relative, so an
-    absolute test could never pass for large amounts.  Non-convergence after
+    max(1, target): roots are resolved only to a relative step of 1e-13, so
+    an absolute test could never pass for large amounts.  Non-convergence after
     ``max_iter`` sweeps returns converged=False rather than a silent answer.
     """
     if not valuations:
@@ -206,7 +220,7 @@ def best_response(
                 key = (v.contributor_id, project)
                 targets[key] = solve_best_contribution(
                     v, k, s_all - roots[v.contributor_id], c_all - current[key],
-                    hi_hint=max(1.0, 2.0 * current[key]),
+                    current[key],
                 )
         return targets
 

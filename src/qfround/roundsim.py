@@ -314,9 +314,7 @@ def run_round(
                     k_obs = observed_k[known[project]]
                     if own > 0.0 and foc_lhs(valuation, k_obs, s_others, c_others, own) <= 1.0:
                         continue  # the best response is at most own: nothing to top up
-                    target = solve_best_contribution(
-                        valuation, k_obs, s_others, c_others, hi_hint=max(1.0, 2.0 * own)
-                    )
+                    target = solve_best_contribution(valuation, k_obs, s_others, c_others, own)
                     top_up = min(target - own, state.remaining(agent))
                     if top_up > 1e-12:
                         state.emit(day, agent, project, top_up)
