@@ -16,9 +16,7 @@ c_i = 0 corner for the log family.
 The solver runs simultaneous best-response sweeps damped by 0.5 until the
 largest update, relative to max(1, target), is below tolerance, then one
 undamped in-place sweep so every entry lands on its exact best response
-against the final profile.  k is exogenous throughout;
-``best_response_endogenous_k`` wraps an experimental outer loop that
-re-derives k from the induced contributions.
+against the final profile.  k is exogenous throughout.
 
 Valuations come in two closed-form concave families:
 
@@ -32,7 +30,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, LedgerFormatError
-from .funding import required_match
 from .ledger import positive_field, read_rows
 
 __all__ = [
@@ -42,7 +39,6 @@ __all__ = [
     "foc_lhs",
     "solve_best_contribution",
     "best_response",
-    "best_response_endogenous_k",
     "planner_optimum",
     "welfare",
     "max_foc_residual",
@@ -50,13 +46,10 @@ __all__ = [
 ]
 
 FAMILIES = ("sqrt", "log")
-#: Step damping of the best-response sweeps and of the endogenous-k loop.
+#: Step damping of the best-response sweeps.
 DAMPING = 0.5
 #: best_response converges once every undamped step is below TOL * max(1, target).
 TOL = 1e-11
-#: The endogenous-k loop stops once |delta k| < K_TOL, or after MAX_OUTER steps.
-K_TOL = 1e-6
-MAX_OUTER = 200
 
 
 @dataclass(frozen=True)
@@ -282,38 +275,6 @@ def best_response(
         converged=converged,
         clamped=frozenset(clamped),
     )
-
-
-def best_response_endogenous_k(
-    valuations: Sequence[Valuation],
-    pool: float,
-) -> tuple[EquilibriumResult, float]:
-    """Experimental outer loop: re-derive k from the induced contributions.
-
-    Alternates the exogenous-k solver with k' = (sum of requirements)/pool,
-    damped, until |delta k| < K_TOL.  The inner game treats k as fixed, so
-    this is a heuristic fixed point, not a defined equilibrium concept.
-    """
-    if not math.isfinite(pool) or pool <= 0:
-        raise DomainError(f"pool must be positive, got {pool!r}")
-    k = 1.0
-    result = best_response(valuations, k)
-    for _ in range(MAX_OUTER):
-        requirement = 0.0
-        by_project: dict[str, list[float]] = {}
-        for (cid, pid), amount in result.contributions.items():
-            if amount > 0.0:
-                by_project.setdefault(pid, []).append(amount)
-        for amounts in by_project.values():
-            requirement += required_match(
-                math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
-            )
-        k_next = max(requirement / pool, 1e-9)
-        if abs(k_next - k) < K_TOL:
-            return result, k
-        k += DAMPING * (k_next - k)
-        result = best_response(valuations, k, initial=result.contributions)
-    return result, k
 
 
 @dataclass(frozen=True)

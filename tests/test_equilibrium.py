@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qfround.equilibrium import (
     Valuation,
     best_response,
-    best_response_endogenous_k,
     foc_lhs,
     load_valuations,
     max_foc_residual,
@@ -431,18 +430,6 @@ class TestWelfare:
     def test_missing_fund_entry(self):
         with pytest.raises(DomainError):
             welfare([sqrt_val("a", "p", 2.0)], {}, {})
-
-
-class TestEndogenousK:
-    def test_outer_loop_settles(self):
-        vals = [sqrt_val(f"c{i}", "p", 2.0) for i in range(3)]
-        result, k = best_response_endogenous_k(vals, pool=0.5)
-        assert result.converged
-        requirement = 0.0
-        amounts = [result.contributions[(f"c{i}", "p")] for i in range(3)]
-        s = sum(math.sqrt(a) for a in amounts)
-        requirement = s * s - sum(amounts)
-        assert k == pytest.approx(max(requirement / 0.5, 1e-9), abs=1e-4)
 
 
 class TestValuationsCsv:
