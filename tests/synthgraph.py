@@ -26,37 +26,46 @@ def generate_backing(
     """
     rng = random.Random(seed)
     projects = [f"p{i}" for i in range(n_projects)]
+    members = [f"m{p}" for p in projects]
     labels = []
     for name, weight in category_weights:
         labels.extend([name] * weight)
     categories = {p: labels[i % len(labels)] for i, p in enumerate(projects)}
-    roster = TeamRoster({p: frozenset({f"m{p}"}) for p in projects})
+    roster = TeamRoster({p: frozenset({member}) for p, member in zip(projects, members)})
 
-    quota = {p: rng.randint(*quota_range) for p in projects}
-    used = {p: 0 for p in projects}
+    # Projects are indices here, and an edge (source, target) is the int
+    # source * n_projects + target; names are attached once at the end.
+    quota = [rng.randint(*quota_range) for _ in projects]
+    used = [0] * n_projects
     edges = set()
-    contributions = []
+    pairs = []
 
     def add_edge(source, target):
-        edges.add((source, target))
+        edges.add(source * n_projects + target)
         used[source] += 1
-        contributions.append(Contribution(f"m{source}", target, 1.0, 0))
+        pairs.append((source, target))
 
-    slots = [p for p in projects for _ in range(quota[p])]
+    slots = [i for i in range(n_projects) for _ in range(quota[i])]
     rng.shuffle(slots)
+    # rng.randrange(n_projects), drawn the way Random draws it: getrandbits
+    # of n_projects' bit length, redrawn while out of range.
+    getrandbits, bits = rng.getrandbits, n_projects.bit_length()
     for source in slots:
         if used[source] >= quota[source]:
             continue  # quota already consumed by granted reciprocations
         for _ in range(64):
-            target = projects[rng.randrange(n_projects)]
-            if target != source and (source, target) not in edges:
+            target = getrandbits(bits)
+            while target >= n_projects:
+                target = getrandbits(bits)
+            if target != source and source * n_projects + target not in edges:
                 break
         else:
             continue
         add_edge(source, target)
         if rng.random() < reciprocation_prob:
-            if used[target] < quota[target] and (target, source) not in edges:
+            if used[target] < quota[target] and target * n_projects + source not in edges:
                 add_edge(target, source)
+    contributions = [Contribution(members[a], projects[b], 1.0, 0) for a, b in pairs]
     return contributions, roster, categories
 
 
