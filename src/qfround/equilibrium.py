@@ -92,11 +92,19 @@ def _funding(k: float, s: float, c: float) -> float:
     return (s * s) / k + (1.0 - 1.0 / k) * c
 
 
-def foc_lhs(valuation: Valuation, k: float, s_others: float, c_others: float, c: float) -> float:
-    """Left side of the first-order condition at ``c > 0``; it falls monotonically in c."""
+def _foc(
+    valuation: Valuation, k: float, s_others: float, c_others: float, c: float
+) -> tuple[float, float, float]:
+    """The first-order condition's left side at ``c > 0``, its funding F and its bracket."""
     root = math.sqrt(c)
     funding = _funding(k, s_others + root, c_others + c)
-    return valuation.marginal(funding) * (1.0 + s_others / (k * root))
+    bracket = 1.0 + s_others / (k * root)
+    return valuation.marginal(funding) * bracket, funding, bracket
+
+
+def foc_lhs(valuation: Valuation, k: float, s_others: float, c_others: float, c: float) -> float:
+    """Left side of the first-order condition at ``c > 0``; it falls monotonically in c."""
+    return _foc(valuation, k, s_others, c_others, c)[0]
 
 
 def solve_best_contribution(
@@ -126,10 +134,7 @@ def solve_best_contribution(
     c = start if start > 0.0 else 1.0
     lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
     for _ in range(200):
-        root = math.sqrt(c)
-        bracket = 1.0 + s_others / (k * root)
-        funding = _funding(k, s_others + root, c_others + c)
-        lhs = valuation.marginal(funding) * bracket
+        lhs, funding, bracket = _foc(valuation, k, s_others, c_others, c)
         if lhs > 1.0:
             lo = c
         else:
