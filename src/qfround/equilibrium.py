@@ -133,7 +133,8 @@ def solve_best_contribution(
         return max(0.0, valuation.scale - 1.0)
     c = start if start > 0.0 else 1.0
     lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
-    for _ in range(200):
+    # Steps of 2 cross all positive floats (about 1455 in ln c) in under 730.
+    for _ in range(1000):
         lhs, funding, bracket = _foc(valuation, k, s_others, c_others, c)
         if lhs > 1.0:
             lo = c

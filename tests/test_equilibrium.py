@@ -75,6 +75,12 @@ class TestSolveBestContribution:
             bracket = 1.0 + s_others / (k * math.sqrt(c))
             assert v.marginal(funding) * bracket == pytest.approx(1.0, abs=1e-8)
 
+    def test_roots_far_from_the_start(self):
+        # Each root lies hundreds of clipped Newton steps in ln c from a start of 1.
+        cases = ((log_val("a", "p", 1e-100), 2.5e-201), (sqrt_val("a", "p", 1e140), 2.5e279))
+        for v, expected in cases:
+            assert solve_best_contribution(v, 1.0, 1.0, 0.5) == pytest.approx(expected, rel=1e-12)
+
 
 def bisection_root(valuation, k, s_others, c_others):
     """Reference root of the first-order condition: the solver's former bisection.
