@@ -9,7 +9,9 @@ on day 0, before any estimate exists, they assume k = 1.
 Honest agents re-derive a target contribution per valued project from the
 first-order condition each active day and top up toward it; contributions
 are irrevocable, so rising k shows up as agents ceasing to add rather than
-withdrawing.  Fixed agents emit a set amount once.  Reciprocal colluders
+withdrawing.  The condition's left side falls in the amount, so its value
+at an agent's current amount (at most 1: nothing to add) settles most of
+these decisions without solving for the target.  Fixed agents emit a set amount once.  Reciprocal colluders
 split their budget evenly across all their ring's projects on their first
 active day, or dump it on their own project when defecting; across
 repeated rounds a grim trigger makes a ring stop cooperating after the
