@@ -297,6 +297,38 @@ class TestLedgerType:
             Contribution("a", "p", 1.0, day=-1)
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("a", "b", "c", "d")),
+            st.sampled_from(("p1", "p2", "p3")),
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False),
+                st.sampled_from((0.1, 0.2, 0.3, 1e-3)),
+            ),
+        ),
+        max_size=30,
+    ),
+    st.lists(st.sampled_from(("p0", "p2", "p4")), max_size=3),
+)
+@settings(max_examples=200)
+def test_group_ledgers_match_a_brute_force_reading(rows, projects):
+    """Every ledger's sums and per-contributor amounts, bit for bit, empty ledgers included."""
+    records = [Contribution(cid, pid, amount) for cid, pid, amount in rows]
+    ledgers = group_ledgers(records, {"p1": "main", "p4": "side"}, projects)
+    assert [l.project_id for l in ledgers] == sorted({r.project_id for r in records} | set(projects))
+    for built in ledgers:
+        own = [r for r in records if r.project_id == built.project_id]
+        amounts = {}
+        for record in own:
+            amounts[record.contributor_id] = amounts.get(record.contributor_id, 0.0) + record.amount
+        assert built.category == {"p1": "main", "p4": "side"}.get(built.project_id, "")
+        assert built.contributor_amounts() == amounts
+        assert built.contributor_count == len(amounts)
+        assert built.total == math.fsum(r.amount for r in own)
+        assert built.sqrt_sum == math.fsum(math.sqrt(a) for a in amounts.values())
+
+
 records_strategy = st.lists(
     st.tuples(
         st.sampled_from(("a", "b", "c", "d", "e")),

@@ -1,16 +1,19 @@
 """Tests for ledger ingestion and the reciprocity forensics."""
 
+import csv
 import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dictreader_loader
 from synthgraph import community_percentages_fixture, generate_backing
 
 from qfround.errors import DomainError, LedgerFormatError
 from qfround.funding import Contribution
 from qfround.ledger import (
+    CONTRIBUTIONS_COLUMNS,
     TeamRoster,
     build_graph,
     cross_category_stats,
@@ -122,6 +125,63 @@ class TestLoadContributions:
         loaded = load_contributions(path)
         assert loaded.errors == ()
         assert loaded.contributions == records
+
+
+#: Field texts covering every reason a row is rejected: a "d"-prefixed or
+#: fractional day, a negative day, an "x"-suffixed or blank amount, zero,
+#: negative and non-finite amounts, blank or space-only ids and categories
+#: that conflict; ids hold commas and quotes, so csv quotes them.
+DAY_TEXTS = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(str),
+    st.sampled_from(("d3", "", "1.5", " 7 ", "99999999999999999999")),
+)
+AMOUNT_TEXTS = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e9, allow_nan=False).map(repr),
+    st.sampled_from(("0", "-3.5", "nan", "inf", "2.45x", "", "1e400", " 4 ", "1_000", "-0.0")),
+)
+ID_TEXTS = st.one_of(
+    st.sampled_from(("a", "b", " a", "", "  ", "c,d", '"q"')),
+    st.text(alphabet="ab,\" ", max_size=4),
+)
+CATEGORY_TEXTS = st.sampled_from(("infra", "apps", "", " apps", "x,y"))
+
+
+@st.composite
+def contributions_files(draw):
+    """A contributions CSV as rows of text: shuffled header, extra columns, short rows."""
+    extras = draw(st.lists(st.sampled_from(("note", "k_at_day")), unique=True, max_size=2))
+    header = draw(st.permutations(CONTRIBUTIONS_COLUMNS + tuple(extras)))
+    fields = {
+        "day": DAY_TEXTS,
+        "category": CATEGORY_TEXTS,
+        "project_id": ID_TEXTS,
+        "contributor_id": ID_TEXTS,
+        "amount": AMOUNT_TEXTS,
+        "note": st.text(alphabet="n, ", max_size=3),
+        "k_at_day": AMOUNT_TEXTS,
+    }
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        row = [draw(fields[column]) for column in header]
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            # a short row, never an empty one: csv writes that as a blank line
+            row = row[: draw(st.integers(min_value=1, max_value=len(row) - 1))]
+        rows.append(row)
+    return [list(header)] + rows
+
+
+class TestLoaderOracle:
+    @given(rows=contributions_files())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dictreader_loader(self, rows, tmp_path_factory):
+        path = tmp_path_factory.mktemp("oracle") / "contributions.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        records, categories, errors = dictreader_loader.load_contributions(path)
+        loaded = load_contributions(path)
+        assert loaded.errors == errors
+        assert loaded.contributions == records
+        assert loaded.project_categories == categories
 
 
 class TestRosterAndPools:
