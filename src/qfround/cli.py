@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import efficiency, equilibrium, ledger, roundsim, strategy
 from .errors import DomainError, LedgerFormatError
-from .funding import ProjectLedger, group_ledgers
+from .funding import ProjectLedger
 from .report import PROJECT_COLUMNS, build_report
 
 DEFAULT_SWEEP_PROFILES = "1:1,1:2,1:15"
@@ -30,7 +30,7 @@ def _load_contributions(path) -> ledger.LoadResult:
 
 def _ledgers_from_file(path) -> list[ProjectLedger]:
     loaded = _load_contributions(path)
-    return group_ledgers(loaded.contributions, loaded.project_categories)
+    return loaded.columns.ledgers(loaded.project_categories)
 
 
 def _write_or_stdout(text: str, path: str | None) -> None:

@@ -60,10 +60,9 @@ def share_profile(ledger: ProjectLedger) -> ShareProfile:
 
     The identity hhi = n*variance + n*mean^2 holds by construction.
     """
-    amounts = ledger.contributor_amounts()
-    if not amounts:
+    if not ledger.amounts:
         raise DomainError(f"project {ledger.project_id!r} has no contributors")
-    alphas = tuple(sqrt_shares(amounts[cid] for cid in sorted(amounts)))
+    alphas = tuple(sqrt_shares(a for _cid, a in sorted(zip(ledger.contributors, ledger.amounts))))
     n = len(alphas)
     mean = 1.0 / n
     hhi = math.fsum(a * a for a in alphas)

@@ -53,7 +53,7 @@ def lambda_from_amounts(amounts: Iterable[float], k: float) -> float:
 
 def lambda_p(ledger: ProjectLedger, k: float) -> float:
     """Sum of marginal valuations implied by the first-order conditions."""
-    return lambda_from_amounts(ledger.contributor_amounts().values(), k)
+    return lambda_from_amounts(ledger.amounts, k)
 
 
 def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
@@ -63,7 +63,7 @@ def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
     lambda_p sum; tight exactly when all shares are equal.
     """
     _check_k(k)
-    alphas = sqrt_shares(ledger.contributor_amounts().values())
+    alphas = sqrt_shares(ledger.amounts)
     n = len(alphas)
     denom = math.fsum(1.0 / a for a in alphas) / k + n * (1.0 - 1.0 / k)
     return n * n / denom

@@ -411,14 +411,16 @@ def load_valuations(path) -> list[Valuation]:
     """Read valuations from CSV with header contributor_id,project_id,family,scale."""
     out: list[Valuation] = []
     seen: set[tuple[str, str]] = set()
-    for line, row in read_rows(path, ("contributor_id", "project_id", "family", "scale")):
-        key = ((row["contributor_id"] or "").strip(), (row["project_id"] or "").strip())
+    for line, (contributor, project, family, scale) in read_rows(
+        path, ("contributor_id", "project_id", "family", "scale")
+    ):
+        key = ((contributor or "").strip(), (project or "").strip())
         if key in seen:
             raise LedgerFormatError(f"{path}:{line}: duplicate valuation for {key!r}")
         seen.add(key)
-        scale = positive_field(path, line, row, "scale")
+        scale = positive_field(path, line, scale, "scale")
         try:
-            out.append(Valuation(*key, row["family"], scale))
+            out.append(Valuation(*key, family, scale))
         except DomainError as exc:
             raise LedgerFormatError(f"{path}:{line}: {exc}") from None
     return out

@@ -18,18 +18,22 @@ quadratic-rule requirement instead and report the unspent surplus.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, NoMatchableProjectsError
 
 __all__ = [
     "Contribution",
+    "ContributionColumns",
     "ProjectLedger",
     "MatchOutcome",
     "PoolState",
     "CqfAllocation",
-    "aggregate_amounts",
+    "check_record",
     "group_ledgers",
     "qf_target",
     "required_match",
@@ -38,6 +42,17 @@ __all__ = [
     "compute_k",
     "cqf_allocate",
 ]
+
+def check_record(amount, day) -> None:
+    """Raise DomainError unless ``amount`` is a positive finite number and
+    ``day`` a nonnegative integer: the rule every contribution record obeys."""
+    if not isinstance(amount, (int, float)) or isinstance(amount, bool):
+        raise DomainError(f"amount must be numeric, got {amount!r}")
+    if not math.isfinite(amount) or amount <= 0:
+        raise DomainError(f"contribution amount must be positive and finite, got {amount!r}")
+    if int(day) != day or day < 0:
+        raise DomainError(f"day must be a nonnegative integer, got {day!r}")
+
 
 @dataclass(frozen=True)
 class Contribution:
@@ -54,52 +69,32 @@ class Contribution:
     day: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.amount, (int, float)) or isinstance(self.amount, bool):
-            raise DomainError(f"amount must be numeric, got {self.amount!r}")
-        if not math.isfinite(self.amount) or self.amount <= 0:
-            raise DomainError(f"contribution amount must be positive and finite, got {self.amount!r}")
-        if int(self.day) != self.day or self.day < 0:
-            raise DomainError(f"day must be a nonnegative integer, got {self.day!r}")
-
-
-def aggregate_amounts(contributions: Iterable[Contribution]) -> dict[str, float]:
-    """Sum amounts per contributor id.
-
-    Square roots are always taken *after* this aggregation: splitting one
-    wallet's amount across several records must not change any result.
-    """
-    totals: dict[str, float] = {}
-    for record in contributions:
-        totals[record.contributor_id] = totals.get(record.contributor_id, 0.0) + record.amount
-    return totals
+        check_record(self.amount, self.day)
 
 
 @dataclass(frozen=True)
 class ProjectLedger:
-    """Per-project aggregate: contribution list plus sums derived from it.
+    """One project's contributions, summed per contributor.
 
-    ``sqrt_sum`` is the sum of square roots of per-contributor aggregated
-    amounts, ``total`` the plain sum and ``contributor_count`` the number of
-    distinct contributors; all three are computed once at construction.
+    ``contributors`` and ``amounts`` are parallel: each distinct contributor
+    and the sum of their records, in the order contributors first appear in
+    the input.  ``total`` is the plain sum of the records, ``sqrt_sum`` the
+    sum of the square roots of ``amounts`` and ``contributor_count`` their
+    number; the last two are derived at construction.  Build ledgers with
+    ``group_ledgers``, ``build`` or ``from_amounts``.
     """
 
     project_id: str
     category: str
-    contributions: tuple[Contribution, ...]
+    contributors: tuple[str, ...]
+    amounts: tuple[float, ...]
+    total: float
     sqrt_sum: float = field(init=False)
-    total: float = field(init=False)
     contributor_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for record in self.contributions:
-            if record.project_id != self.project_id:
-                raise DomainError(
-                    f"contribution for {record.project_id!r} placed in ledger {self.project_id!r}"
-                )
-        amounts = aggregate_amounts(self.contributions)
-        object.__setattr__(self, "sqrt_sum", math.fsum(math.sqrt(a) for a in amounts.values()))
-        object.__setattr__(self, "total", math.fsum(r.amount for r in self.contributions))
-        object.__setattr__(self, "contributor_count", len(amounts))
+        object.__setattr__(self, "sqrt_sum", math.fsum(map(math.sqrt, self.amounts)))
+        object.__setattr__(self, "contributor_count", len(self.amounts))
 
     @classmethod
     def build(
@@ -108,7 +103,13 @@ class ProjectLedger:
         contributions: Iterable[Contribution],
         category: str = "",
     ) -> "ProjectLedger":
-        return cls(project_id, category, tuple(contributions))
+        records = tuple(contributions)
+        for record in records:
+            if record.project_id != project_id:
+                raise DomainError(
+                    f"contribution for {record.project_id!r} placed in ledger {project_id!r}"
+                )
+        return group_ledgers(records, {project_id: category}, (project_id,))[0]
 
     @classmethod
     def from_amounts(
@@ -125,7 +126,84 @@ class ProjectLedger:
         return cls.build(project_id, records, category)
 
     def contributor_amounts(self) -> dict[str, float]:
-        return aggregate_amounts(self.contributions)
+        return dict(zip(self.contributors, self.amounts))
+
+
+class ContributionColumns:
+    """Contribution records as columns, in record order.
+
+    Contributor and project ids are interned: ``contributor_codes`` and
+    ``project_codes`` map each id to its int code, in order of first
+    appearance, and the ``contributors`` and ``projects`` columns hold
+    codes.  ``amounts`` and ``days`` hold the rest of each record.
+    """
+
+    def __init__(self, projects: Iterable[str] = ()):
+        self.contributor_codes: dict[str, int] = {}
+        self.project_codes: dict[str, int] = {}
+        for project in projects:
+            self.project_codes.setdefault(project, len(self.project_codes))
+        self.contributors = array("q")
+        self.projects = array("q")
+        self.amounts = array("d")
+        self.days: list[int] = []
+
+    def append(self, contributor: str, project: str, amount: float, day: int) -> None:
+        """Add one record; its values must already satisfy ``check_record``."""
+        codes = self.contributor_codes
+        self.contributors.append(codes.setdefault(contributor, len(codes)))
+        codes = self.project_codes
+        self.projects.append(codes.setdefault(project, len(codes)))
+        self.amounts.append(amount)
+        self.days.append(day)
+
+    def records(self) -> tuple[Contribution, ...]:
+        contributors = list(self.contributor_codes)
+        projects = list(self.project_codes)
+        return tuple(
+            Contribution(contributors[c], projects[p], amount, day)
+            for c, p, amount, day in zip(self.contributors, self.projects, self.amounts, self.days)
+        )
+
+    def ledgers(self, categories: Mapping[str, str]) -> list[ProjectLedger]:
+        """One ledger per project, sorted by project id, from one aggregation.
+
+        A (project, contributor) pair is the key ``project * n_contributors
+        + contributor``; ``np.bincount`` sums each pair's amounts in record
+        order.  ``total`` is ``math.fsum`` over each project's records.
+        Categories come from ``categories`` ("" when absent).
+        """
+        contributor_ids = list(self.contributor_codes)
+        project_ids = list(self.project_codes)
+        width = max(len(contributor_ids), 1)
+        amounts = np.frombuffer(self.amounts, dtype=np.float64)
+        keys = np.frombuffer(self.projects, dtype=np.int64) * width
+        keys += np.frombuffer(self.contributors, dtype=np.int64)
+        pairs, inverse = np.unique(keys, return_inverse=True)
+        sums = np.bincount(inverse, weights=amounts, minlength=len(pairs)).tolist()
+        # Records ordered by pair; the pairs are sorted by project, so each
+        # project's records, like its pairs, are one contiguous run.
+        records = amounts[np.argsort(inverse, kind="stable")].tolist()
+        record_bounds = _bounds(np.bincount(inverse, minlength=len(pairs)))
+        pair_bounds = _bounds(np.bincount(pairs // width, minlength=len(project_ids)))
+        pair_contributors = (pairs % width).tolist()
+        ledgers = []
+        for code in sorted(range(len(project_ids)), key=project_ids.__getitem__):
+            first, last = pair_bounds[code], pair_bounds[code + 1]
+            project = project_ids[code]
+            ledgers.append(ProjectLedger(
+                project,
+                categories.get(project, ""),
+                tuple(contributor_ids[c] for c in pair_contributors[first:last]),
+                tuple(sums[first:last]),
+                math.fsum(records[record_bounds[first]:record_bounds[last]]),
+            ))
+        return ledgers
+
+
+def _bounds(counts: np.ndarray) -> list[int]:
+    """Start offsets of consecutive runs of the given lengths, then the end."""
+    return [0, *np.cumsum(counts).tolist()]
 
 
 def group_ledgers(
@@ -136,22 +214,21 @@ def group_ledgers(
     """One ledger per project, sorted by project id, in a single pass.
 
     Categories come from ``categories`` ("" when absent); every id in
-    ``projects`` gets a ledger even when nobody contributed to it.
+    ``projects`` gets a ledger even when nobody contributed to it.  Square
+    roots are always taken *after* each contributor's records are summed:
+    splitting one wallet's amount across several records changes nothing.
     """
-    by_project: dict[str, list[Contribution]] = {project: [] for project in projects}
+    columns = ContributionColumns(projects)
     for record in contributions:
-        by_project.setdefault(record.project_id, []).append(record)
-    return [
-        ProjectLedger.build(project, records, categories.get(project, ""))
-        for project, records in sorted(by_project.items())
-    ]
+        columns.append(record.contributor_id, record.project_id, record.amount, record.day)
+    return columns.ledgers(categories)
 
 
 def qf_target(ledger: ProjectLedger) -> float:
     """Quadratic-rule funding target (sum_i sqrt(c_i))^2.
 
-    Empty ledgers yield 0.  Negative amounts cannot occur: they are
-    rejected when the Contribution is constructed.
+    Empty ledgers yield 0.  Negative amounts cannot occur: every record
+    passes ``check_record``.
     """
     return ledger.sqrt_sum * ledger.sqrt_sum
 

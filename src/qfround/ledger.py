@@ -15,9 +15,10 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DomainError, LedgerFormatError
-from .funding import Contribution
+from .funding import Contribution, ContributionColumns, check_record
 
 __all__ = [
     "RowError",
@@ -54,32 +55,50 @@ class RowError:
 
 @dataclass(frozen=True)
 class LoadResult:
-    contributions: tuple[Contribution, ...]
+    columns: ContributionColumns
     project_categories: dict[str, str]
     errors: tuple[RowError, ...]
 
+    @cached_property
+    def contributions(self) -> tuple[Contribution, ...]:
+        """The loaded records, built on first access."""
+        return self.columns.records()
 
-def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line, row)`` for each data row of a CSV file with a header.
 
-    The header must name every column in ``columns`` (extras are ignored);
-    otherwise, or for an empty file, a file that is not UTF-8 text or one
-    that csv cannot parse, LedgerFormatError is raised.
+def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Yield ``(line, values)`` for each data row of a CSV file with a header.
+
+    ``values`` are the row's fields for ``columns`` (two or more names), in
+    that order; a row too short to reach a column has None there.  ``line``
+    is the line the row starts on; blank lines are skipped.  The header must
+    name every column in ``columns`` (extras are ignored; a repeated name
+    reads its last column); otherwise, or for an empty file, a file that is
+    not UTF-8 text or one that csv cannot parse, LedgerFormatError is raised.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         try:
-            header = reader.fieldnames
+            header = next(reader, None)
             if header is None:
                 raise LedgerFormatError(f"{path}: empty file, expected a header row")
             missing = [column for column in columns if column not in header]
             if missing:
                 raise LedgerFormatError(f"{path}: missing columns: {', '.join(missing)}")
-            yield from enumerate(reader, start=2)
+            index = {name: i for i, name in enumerate(header)}
+            positions = [index[column] for column in columns]
+            pick = itemgetter(*positions)
+            width = max(positions) + 1
+            line = reader.line_num
+            for row in reader:
+                if len(row) >= width:
+                    yield line + 1, pick(row)
+                elif row:
+                    yield line + 1, tuple(row[i] if i < len(row) else None for i in positions)
+                line = reader.line_num
         except UnicodeDecodeError as exc:
             raise LedgerFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise LedgerFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
+            raise LedgerFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def write_rows(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
@@ -90,9 +109,8 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
         writer.writerows(rows)
 
 
-def positive_field(path, line: int, row: Mapping[str, str], column: str) -> float:
-    """``row[column]`` as a positive finite float, else LedgerFormatError."""
-    text = row[column]
+def positive_field(path, line: int, text: str | None, column: str) -> float:
+    """``text``, the value of ``column``, as a positive finite float, else LedgerFormatError."""
     try:
         value = float(text)
     except (TypeError, ValueError):
@@ -103,36 +121,34 @@ def positive_field(path, line: int, row: Mapping[str, str], column: str) -> floa
 
 
 def load_contributions(path) -> LoadResult:
-    """Parse a contributions CSV; malformed rows are reported, not fatal."""
-    records: list[Contribution] = []
+    """Parse a contributions CSV into columns; malformed rows are reported, not fatal."""
+    columns = ContributionColumns()
+    append = columns.append
     categories: dict[str, str] = {}
     errors: list[RowError] = []
-    for line, row in read_rows(path, CONTRIBUTIONS_COLUMNS):
+    for line, (day, category, project, contributor, amount) in read_rows(path, CONTRIBUTIONS_COLUMNS):
         try:
-            day = int(row["day"])
-            amount = float(row["amount"])
+            day = int(day)
+            amount = float(amount)
         except (TypeError, ValueError) as exc:
             errors.append(RowError(line, f"unparsable row: {exc}"))
             continue
-        project = (row["project_id"] or "").strip()
-        contributor = (row["contributor_id"] or "").strip()
-        category = (row["category"] or "").strip()
+        project = (project or "").strip()
+        contributor = (contributor or "").strip()
+        category = (category or "").strip()
         if not project or not contributor:
             errors.append(RowError(line, "missing project or contributor id"))
             continue
         try:
-            record = Contribution(contributor, project, amount, day)
+            check_record(amount, day)
         except DomainError as exc:
             errors.append(RowError(line, str(exc)))
             continue
-        if project in categories and categories[project] != category:
-            errors.append(
-                RowError(line, f"category conflict for {project!r}: keeping {categories[project]!r}")
-            )
-        else:
-            categories[project] = category
-        records.append(record)
-    return LoadResult(tuple(records), categories, tuple(errors))
+        kept = categories.setdefault(project, category)
+        if kept != category:
+            errors.append(RowError(line, f"category conflict for {project!r}: keeping {kept!r}"))
+        append(contributor, project, amount, day)
+    return LoadResult(columns, categories, tuple(errors))
 
 
 def write_contributions(
@@ -168,9 +184,9 @@ class TeamRoster:
 
 def load_roster(path) -> TeamRoster:
     members: dict[str, set[str]] = {}
-    for _line, row in read_rows(path, TEAMS_COLUMNS):
-        project = (row["project_id"] or "").strip()
-        member = (row["member_id"] or "").strip()
+    for _line, (project, member) in read_rows(path, TEAMS_COLUMNS):
+        project = (project or "").strip()
+        member = (member or "").strip()
         if project and member:
             members.setdefault(project, set()).add(member)
     return TeamRoster({project: frozenset(team) for project, team in members.items()})
@@ -178,11 +194,11 @@ def load_roster(path) -> TeamRoster:
 
 def _positive_by_key(path, key: str, column: str) -> dict[str, float]:
     values: dict[str, float] = {}
-    for line, row in read_rows(path, (key, column)):
-        name = (row[key] or "").strip()
+    for line, (name, text) in read_rows(path, (key, column)):
+        name = (name or "").strip()
         if name in values:
             raise LedgerFormatError(f"{path}:{line}: duplicate {key} {name!r}")
-        values[name] = positive_field(path, line, row, column)
+        values[name] = positive_field(path, line, text, column)
     return values
 
 

@@ -460,6 +460,18 @@ class TestLoaderReasons:
         assert "finite" in lines[0] and "finite" in lines[1]
         assert captured.out == clean
 
+    def test_line_numbers_count_blank_lines_and_quoted_newlines(self, round_files, capsys):
+        contributions, pools = round_files
+        contributions.write_text(
+            CONTRIBUTIONS + "\n1,main,p1,erin,zz\n2,main,p2,\"carol\nsmith\",2.5\n3,main,p2,dave,nan\n",
+            encoding="utf-8",
+        )
+        assert main(["allocate", "--contributions", str(contributions), "--pools", str(pools)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == [f"{contributions}:{n}" for n in (6, 9)]
+        assert "'zz'" in lines[0] and "nan" in lines[1]
+        assert [r.contributor_id for r in load_contributions(contributions).contributions][-1] == "carol\nsmith"
+
 
 def write_round(tmp_path, text: str):
     config = tmp_path / "round.json"

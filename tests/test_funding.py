@@ -247,15 +247,16 @@ class TestCqfAllocate:
 
 class TestLedgerType:
     def test_cached_sums_validated(self):
-        """The sums are derived from the records and cannot be passed in."""
+        """The derived sums come from the amounts and cannot be passed in."""
         records = (
             Contribution("a", "p", 1.0),
             Contribution("b", "p", 4.0),
             Contribution("a", "p", 3.0),
         )
         with pytest.raises(TypeError):
-            ProjectLedger("p", "", records, sqrt_sum=99.0, total=5.0)
-        built = ProjectLedger("p", "", records)
+            ProjectLedger("p", "", ("a", "b"), (4.0, 4.0), 8.0, sqrt_sum=99.0)
+        built = ProjectLedger.build("p", records)
+        assert (built.contributors, built.amounts) == (("a", "b"), (4.0, 4.0))
         assert built.total == math.fsum(r.amount for r in records)
         assert built.sqrt_sum == math.fsum(math.sqrt(a) for a in (4.0, 4.0))
         assert built.contributor_count == 2
@@ -276,9 +277,9 @@ class TestLedgerType:
         ledgers = group_ledgers(records, {"p": "main"}, projects=("r", "p"))
         assert [l.project_id for l in ledgers] == ["p", "q", "r"]
         assert [l.category for l in ledgers] == ["main", "", ""]
-        assert ledgers[1].contributions == (records[0], records[2])
+        assert (ledgers[1].contributors, ledgers[1].amounts) == (("a",), (4.0,))
         assert ledgers[1].total == 4.0 and ledgers[1].contributor_count == 1
-        assert ledgers[2].contributions == () and matching_requirement(ledgers[2]) == 0.0
+        assert ledgers[2].amounts == () and matching_requirement(ledgers[2]) == 0.0
 
     def test_wrong_project_rejected(self):
         with pytest.raises(DomainError):
