@@ -77,8 +77,8 @@ class ProjectLedger:
     """One project's contributions, summed per contributor.
 
     ``contributors`` and ``amounts`` are parallel: each distinct contributor
-    and the sum of their records, in the order contributors first appear in
-    the input.  ``total`` is the plain sum of the records, ``sqrt_sum`` the
+    and the correctly rounded sum of their records, in the order
+    contributors first appear in the input.  ``total`` is the plain sum of the records, ``sqrt_sum`` the
     sum of the square roots of ``amounts`` and ``contributor_count`` their
     number; the last two are derived at construction.  Build ledgers with
     ``group_ledgers``, ``build`` or ``from_amounts``.
@@ -169,9 +169,13 @@ class ContributionColumns:
         """One ledger per project, sorted by project id, from one aggregation.
 
         A (project, contributor) pair is the key ``project * n_contributors
-        + contributor``; ``np.bincount`` sums each pair's amounts in record
-        order.  ``total`` is ``math.fsum`` over each project's records.
-        Categories come from ``categories`` ("" when absent).
+        + contributor``; one stable sort on it groups the records by pair.
+        Each pair's amount is the correctly rounded sum of its records, so
+        it does not depend on their order: ``np.add.reduceat`` sums one or
+        two records with at most one rounding, and a pair with three or more
+        is summed with ``math.fsum``.  ``total`` is ``math.fsum`` over each
+        project's records.  Categories come from ``categories`` ("" when
+        absent).
         """
         contributor_ids = list(self.contributor_codes)
         project_ids = list(self.project_codes)
@@ -179,14 +183,19 @@ class ContributionColumns:
         amounts = np.frombuffer(self.amounts, dtype=np.float64)
         keys = np.frombuffer(self.projects, dtype=np.int64) * width
         keys += np.frombuffer(self.contributors, dtype=np.int64)
-        pairs, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=amounts, minlength=len(pairs)).tolist()
-        # Records ordered by pair; the pairs are sorted by project, so each
-        # project's records, like its pairs, are one contiguous run.
-        records = amounts[np.argsort(inverse, kind="stable")].tolist()
-        record_bounds = _bounds(np.bincount(inverse, minlength=len(pairs)))
-        pair_bounds = _bounds(np.bincount(pairs // width, minlength=len(project_ids)))
-        pair_contributors = (pairs % width).tolist()
+        order = np.argsort(keys, kind="stable")
+        keys, records = keys[order], amounts[order]
+        # Each pair's records are now one run, and so are each project's.
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        ends = np.append(starts[1:], len(keys))
+        sums = np.add.reduceat(records, starts)
+        for pair in np.flatnonzero(ends - starts >= 3).tolist():
+            sums[pair] = math.fsum(records[starts[pair]:ends[pair]].tolist())
+        pairs = keys[starts]
+        contributors = pairs % width
+        project_keys = np.arange(len(project_ids) + 1) * width
+        pair_bounds = np.searchsorted(pairs, project_keys).tolist()
+        record_bounds = np.searchsorted(keys, project_keys).tolist()
         ledgers = []
         for code in sorted(range(len(project_ids)), key=project_ids.__getitem__):
             first, last = pair_bounds[code], pair_bounds[code + 1]
@@ -194,16 +203,11 @@ class ContributionColumns:
             ledgers.append(ProjectLedger(
                 project,
                 categories.get(project, ""),
-                tuple(contributor_ids[c] for c in pair_contributors[first:last]),
-                tuple(sums[first:last]),
-                math.fsum(records[record_bounds[first]:record_bounds[last]]),
+                tuple(map(contributor_ids.__getitem__, contributors[first:last].tolist())),
+                tuple(sums[first:last].tolist()),
+                math.fsum(records[record_bounds[code]:record_bounds[code + 1]].tolist()),
             ))
         return ledgers
-
-
-def _bounds(counts: np.ndarray) -> list[int]:
-    """Start offsets of consecutive runs of the given lengths, then the end."""
-    return [0, *np.cumsum(counts).tolist()]
 
 
 def group_ledgers(

@@ -188,11 +188,15 @@ class _RoundState:
 
     The sums are ints in units of 2**-1074, so they carry no rounding error;
     int / int true division rounds correctly, as ``math.fsum`` does, so a sum
-    read back equals an ``fsum`` rescan of the ledger bit for bit.
+    read back equals an ``fsum`` rescan of the ledger bit for bit.  An
+    agent's amount in a ledger is the ``fsum`` of their records there, as in
+    ``group_ledgers``; ``repeated`` keeps the records of every (project,
+    agent) pair that has more than one.
     """
 
     def __init__(self, projects: Collection[str]):
         self.amounts: dict[str, dict[str, float]] = {p: {} for p in projects}
+        self.repeated: dict[tuple[str, str], list[float]] = {}
         self.sqrt_sums: dict[str, int] = dict.fromkeys(projects, 0)
         self.totals: dict[str, int] = dict.fromkeys(projects, 0)
         self.spent: dict[str, float] = {}
@@ -209,7 +213,13 @@ class _RoundState:
         self.spent[agent.agent_id] = already + amount
         ledger = self.amounts[project]
         old = ledger.get(agent.agent_id, 0.0)
-        new = ledger[agent.agent_id] = old + amount
+        if old > 0.0:
+            records = self.repeated.setdefault((project, agent.agent_id), [old])
+            records.append(amount)
+            new = math.fsum(records)
+        else:
+            new = amount
+        ledger[agent.agent_id] = new
         self.sqrt_sums[project] += _exact(math.sqrt(new)) - _exact(math.sqrt(old))
         self.totals[project] += _exact(new) - _exact(old)
         self.panel.append(Contribution(agent.agent_id, project, amount, day))

@@ -172,7 +172,7 @@ def contributions_files(draw):
 
 class TestLoaderOracle:
     @given(rows=contributions_files())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_matches_the_dictreader_loader(self, rows, tmp_path_factory):
         path = tmp_path_factory.mktemp("oracle") / "contributions.csv"
         with open(path, "w", newline="", encoding="utf-8") as handle:
