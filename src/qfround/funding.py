@@ -54,7 +54,7 @@ def check_record(amount, day) -> None:
         raise DomainError(f"day must be a nonnegative integer, got {day!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contribution:
     """One (contributor, project, amount, day) record.
 
@@ -78,10 +78,11 @@ class ProjectLedger:
 
     ``contributors`` and ``amounts`` are parallel: each distinct contributor
     and the correctly rounded sum of their records, in the order
-    contributors first appear in the input.  ``total`` is the plain sum of the records, ``sqrt_sum`` the
-    sum of the square roots of ``amounts`` and ``contributor_count`` their
-    number; the last two are derived at construction.  Build ledgers with
-    ``group_ledgers``, ``build`` or ``from_amounts``.
+    contributors first appear in the input.  ``total`` is the plain sum of
+    the records, ``sqrt_sum`` the sum of the square roots of ``amounts``
+    and ``contributor_count`` their number; the last two are derived at
+    construction.  Build ledgers with ``group_ledgers``, ``build`` or
+    ``from_amounts``.
     """
 
     project_id: str
@@ -158,6 +159,7 @@ class ContributionColumns:
         self.days.append(day)
 
     def records(self) -> tuple[Contribution, ...]:
+        """The records, in order, as ``Contribution`` objects."""
         contributors = list(self.contributor_codes)
         projects = list(self.project_codes)
         return tuple(
