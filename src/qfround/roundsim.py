@@ -34,7 +34,7 @@ import numpy as np
 from .efficiency import lambda_from_amounts
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError
-from .funding import Contribution, group_ledgers, required_match
+from .funding import Contribution, ContributionColumns, check_record, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_rows
 from .report import AllocationReport, build_report
 
@@ -190,8 +190,9 @@ class _RoundState:
     int / int true division rounds correctly, as ``math.fsum`` does, so a sum
     read back equals an ``fsum`` rescan of the ledger bit for bit.  An
     agent's amount in a ledger is the ``fsum`` of their records there, as in
-    ``group_ledgers``; ``repeated`` keeps the records of every (project,
-    agent) pair that has more than one.
+    the final ledgers; ``repeated`` keeps the records of every (project,
+    agent) pair that has more than one.  ``panel`` holds every emitted
+    record, as columns.
     """
 
     def __init__(self, projects: Collection[str]):
@@ -200,7 +201,7 @@ class _RoundState:
         self.sqrt_sums: dict[str, int] = dict.fromkeys(projects, 0)
         self.totals: dict[str, int] = dict.fromkeys(projects, 0)
         self.spent: dict[str, float] = {}
-        self.panel: list[Contribution] = []
+        self.panel = ContributionColumns(projects)
 
     def emit(self, day: int, agent: AgentSpec, project: str, amount: float) -> None:
         if amount <= 0.0:
@@ -222,7 +223,8 @@ class _RoundState:
         ledger[agent.agent_id] = new
         self.sqrt_sums[project] += _exact(math.sqrt(new)) - _exact(math.sqrt(old))
         self.totals[project] += _exact(new) - _exact(old)
-        self.panel.append(Contribution(agent.agent_id, project, amount, day))
+        check_record(amount, day)
+        self.panel.append(agent.agent_id, project, amount, day)
 
     def remaining(self, agent: AgentSpec) -> float:
         return agent.budget - self.spent.get(agent.agent_id, 0.0)
@@ -348,14 +350,14 @@ def run_round(
         lambda_by_day.append(snapshot)
         observed_k.update((name, k) for name, k in nightly.items() if k is not None)
 
-    ledgers = group_ledgers(state.panel, known, known)
+    ledgers = state.panel.ledgers(known)
     final_report = build_report(ledgers, pools, strict=False)
     return RoundTrajectory(
         config=config,
         k_by_day=tuple(k_by_day),
         m_qf_by_day=tuple(m_by_day),
         lambda_by_day=tuple(lambda_by_day),
-        panel=tuple(state.panel),
+        panel=state.panel.records(),
         event_jumps=tuple(jumps),
         final_report=final_report,
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qfround.equilibrium import Valuation
 from qfround.errors import BudgetBreachError, DomainError
-from qfround.funding import group_ledgers, required_match
+from qfround.funding import required_match
 from qfround.ledger import load_contributions
 from qfround.roundsim import (
     AgentSpec,
@@ -443,5 +443,5 @@ class TestExactSums:
                 assert state.requirement(name) == required_match(
                     math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
                 )
-        ledgers = group_ledgers(state.panel, {}, self.PROJECTS)
+        ledgers = state.panel.ledgers({})
         assert {l.project_id: l.contributor_amounts() for l in ledgers} == state.amounts
