@@ -170,46 +170,51 @@ class ContributionColumns:
     def ledgers(self, categories: Mapping[str, str]) -> list[ProjectLedger]:
         """One ledger per project, sorted by project id, from one aggregation.
 
-        A (project, contributor) pair is the key ``project * n_contributors
-        + contributor``; one stable sort on it groups the records by pair.
-        Each pair's amount is the correctly rounded sum of its records, so
-        it does not depend on their order: ``np.add.reduceat`` sums one or
-        two records with at most one rounding, and a pair with three or more
-        is summed with ``math.fsum``.  ``total`` is ``math.fsum`` over each
-        project's records.  Categories come from ``categories`` ("" when
-        absent).
+        Categories come from ``categories`` ("" when absent).
         """
         contributor_ids = list(self.contributor_codes)
         project_ids = list(self.project_codes)
-        width = max(len(contributor_ids), 1)
-        amounts = np.frombuffer(self.amounts, dtype=np.float64)
-        keys = np.frombuffer(self.projects, dtype=np.int64) * width
-        keys += np.frombuffer(self.contributors, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys, records = keys[order], amounts[order]
-        # Each pair's records are now one run, and so are each project's.
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        ends = np.append(starts[1:], len(keys))
-        sums = np.add.reduceat(records, starts)
-        for pair in np.flatnonzero(ends - starts >= 3).tolist():
-            sums[pair] = math.fsum(records[starts[pair]:ends[pair]].tolist())
-        pairs = keys[starts]
-        contributors = pairs % width
-        project_keys = np.arange(len(project_ids) + 1) * width
-        pair_bounds = np.searchsorted(pairs, project_keys).tolist()
-        record_bounds = np.searchsorted(keys, project_keys).tolist()
+        contributors, sums, bounds, totals = self._sums()
         ledgers = []
         for code in sorted(range(len(project_ids)), key=project_ids.__getitem__):
-            first, last = pair_bounds[code], pair_bounds[code + 1]
+            first, last = bounds[code], bounds[code + 1]
             project = project_ids[code]
             ledgers.append(ProjectLedger(
                 project,
                 categories.get(project, ""),
                 tuple(map(contributor_ids.__getitem__, contributors[first:last].tolist())),
                 tuple(sums[first:last].tolist()),
-                math.fsum(records[record_bounds[code]:record_bounds[code + 1]].tolist()),
+                totals[code],
             ))
         return ledgers
+
+    def _sums(self) -> tuple[np.ndarray, np.ndarray, list[int], list[float]]:
+        """The records summed per (project, contributor) pair and per project.
+
+        A pair is the key ``project * n_contributors + contributor``; one
+        stable sort on it groups the records by pair, and so by project.
+        Each pair's amount is the correctly rounded sum of its records, so
+        it does not depend on their order: ``np.add.reduceat`` sums one or
+        two records with at most one rounding, and a pair with three or
+        more is summed with ``math.fsum``.  Returns the pairs' contributor
+        codes and amounts in key order, each project's offsets into them,
+        and each project's ``math.fsum`` over its records.
+        """
+        width = max(len(self.contributor_codes), 1)
+        keys = np.frombuffer(self.projects, dtype=np.int64) * width
+        keys += np.frombuffer(self.contributors, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys, records = keys[order], np.frombuffer(self.amounts, dtype=np.float64)[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        ends = np.append(starts[1:], len(keys))
+        sums = np.add.reduceat(records, starts)
+        for pair in np.flatnonzero(ends - starts >= 3).tolist():
+            sums[pair] = math.fsum(records[starts[pair]:ends[pair]].tolist())
+        project_keys = np.arange(len(self.project_codes) + 1) * width
+        bounds = np.searchsorted(keys, project_keys).tolist()
+        totals = [math.fsum(records[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        pairs = keys[starts]
+        return pairs % width, sums, np.searchsorted(pairs, project_keys).tolist(), totals
 
 
 def group_ledgers(

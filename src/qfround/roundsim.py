@@ -350,8 +350,7 @@ def run_round(
         lambda_by_day.append(snapshot)
         observed_k.update((name, k) for name, k in nightly.items() if k is not None)
 
-    ledgers = state.panel.ledgers(known)
-    final_report = build_report(ledgers, pools, strict=False)
+    final_report = build_report(state.panel.ledgers(known), pools, strict=False)
     return RoundTrajectory(
         config=config,
         k_by_day=tuple(k_by_day),
