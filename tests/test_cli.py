@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line surface."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import random
 
+import diagnose_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfround.cli import main
 from qfround.ledger import load_contributions
@@ -125,6 +130,96 @@ class TestDiagnose:
         category = payload["categories"][0]
         assert category["project_count"] == 2
         assert category["stdev"] > 0
+
+
+#: Projects p0..p5 are spread over four categories; a row keeps its
+#: project's category unless it is drawn to conflict or to be garbled.
+DIAGNOSE_CATEGORIES = ("a", "b", "c", "d")
+BAD_AMOUNTS = ("0", "-2", "nan", "x", "")
+
+
+@st.composite
+def diagnose_files(draw):
+    """A contributions CSV (with bad rows) and a pools CSV, as text."""
+    home = {f"p{i}": draw(st.sampled_from(DIAGNOSE_CATEGORIES)) for i in range(6)}
+    lines = ["day,category,project_id,contributor_id,amount"]
+    for _ in range(draw(st.integers(min_value=8, max_value=40))):
+        project = draw(st.sampled_from(sorted(home)))
+        category = home[project]
+        amount = repr(draw(st.floats(min_value=1e-3, max_value=1e4)))
+        day = str(draw(st.integers(min_value=0, max_value=9)))
+        flaw = draw(st.integers(min_value=0, max_value=9))
+        if flaw == 0:
+            amount = draw(st.sampled_from(BAD_AMOUNTS))
+        elif flaw == 1:
+            category = draw(st.sampled_from(DIAGNOSE_CATEGORIES))
+        elif flaw == 2:
+            day = "d1"
+        contributor = draw(st.sampled_from(("c0", "c1", "c2", "c3", "c4", "")))
+        lines.append(",".join((day, category, project, contributor, amount)))
+    pooled = {home[line.split(",")[2]] for line in lines[1:]}
+    if draw(st.integers(min_value=0, max_value=3)) == 0:  # a pool too few or one too many
+        pooled ^= {draw(st.sampled_from(DIAGNOSE_CATEGORIES))}
+    pools = ["category,pool"] + [
+        f"{name},{draw(st.floats(min_value=1e-2, max_value=1e5))!r}" for name in sorted(pooled)
+    ]
+    return "\n".join(lines) + "\n", "\n".join(pools) + "\n"
+
+
+def diagnose_both(directory, contributions_text, pools_text):
+    """The command's and the oracle's ``(exit code, --json text, stderr)``."""
+    contributions = directory / "contributions.csv"
+    contributions.write_text(contributions_text, encoding="utf-8")
+    pools = directory / "pools.csv"
+    pools.write_text(pools_text, encoding="utf-8")
+    out = directory / "diagnose.json"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["diagnose", "--contributions", str(contributions), "--pools", str(pools),
+                     "--json", str(out)])
+    assert stdout.getvalue() == ""
+    text = out.read_text(encoding="utf-8") if out.exists() else None
+    return (code, text, stderr.getvalue()), diagnose_oracle.diagnose(contributions, pools)
+
+
+class TestDiagnoseOracle:
+    """``diagnose`` writes what the reference assembly in
+    ``diagnose_oracle`` writes: the same JSON bytes, stderr and exit code."""
+
+    @given(files=diagnose_files())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle(self, files, tmp_path_factory):
+        command, oracle = diagnose_both(tmp_path_factory.mktemp("diagnose"), *files)
+        assert command == oracle
+
+    ROWS = (
+        "day,category,project_id,contributor_id,amount\n"
+        "0,a,p1,c1,1\n0,a,p1,c2,4\n1,a,p2,c1,2.5\n1,a,p2,c3,0.25\n"
+        "0,b,p3,c1,9\n2,b,p3,c2,1\n2,b,p3,c4,x\n"
+        "0,c,p4,c2,3\n0,c,p4,c3,3\n0,c,p5,c4,7\n1,a,p4,c5,1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "extra, pools, code, message",
+        [
+            ("", "a,2\nb,0.5\nc,30\n", 0, None),
+            ("0,d,p6,c1,5\n", "a,2\nb,0.5\nc,30\n", 1, "no pool configured for category 'd'"),
+            # p6, the only project of d, has one backer over two records
+            ("0,d,p6,c1,5\n1,d,p6,c1,2\n", "a,2\nb,0.5\nc,30\nd,1\n", 1, "no matchable projects"),
+        ],
+        ids=["three_categories", "category_without_pool", "pool_without_matchable_projects"],
+    )
+    def test_cases(self, tmp_path, extra, pools, code, message):
+        command, oracle = diagnose_both(tmp_path, self.ROWS + extra, "category,pool\n" + pools)
+        assert command == oracle
+        assert command[0] == code
+        assert f"{tmp_path / 'contributions.csv'}:8: unparsable row" in command[2]
+        assert f"{tmp_path / 'contributions.csv'}:12: category conflict" in command[2]
+        if message:
+            assert message in command[2]
+        else:
+            assert [c["category"] for c in json.loads(command[1])["categories"]] == ["a", "b", "c"]
 
 
 class TestSweepK:

@@ -143,6 +143,14 @@ def test_sweep_k_default_stdout_bytes(capsys):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k.txt").read_bytes()
 
 
+def test_sweep_k_profiles_stdout_bytes(capsys):
+    """Three, two and unequal-share profiles over k from 0.5 (a generous pool) to 12."""
+    argv = ["sweep-k", "--profiles", "1:2,1:1:3,0.5:7", "--k-min", "0.5", "--k-max", "12",
+            "--steps", "24"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k_profiles.txt").read_bytes()
+
+
 def test_collusion_sweep_stdout_bytes(capsys):
     assert main(["collusion", "--sweep"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "collusion_sweep.txt").read_bytes()
