@@ -16,7 +16,7 @@ from pathlib import Path
 from . import efficiency, equilibrium, ledger, roundsim, strategy
 from .errors import DomainError, LedgerFormatError
 from .funding import ProjectLedger
-from .report import PROJECT_COLUMNS, build_report
+from .report import PROJECT_COLUMNS, build_report, diagnose
 
 DEFAULT_SWEEP_PROFILES = "1:1,1:2,1:15"
 
@@ -53,44 +53,7 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     ledgers = _ledgers_from_file(args.contributions)
-    pools = ledger.load_pools(args.pools)
-    report = build_report(ledgers, pools, strict=True)
-    k_of = {block.category: block.k for block in report.categories}
-    lambda_reports = [
-        efficiency.lambda_report(item, k_of[item.category])
-        for item in ledgers
-        if item.contributor_count > 0
-    ]
-    stats = [
-        efficiency.dispersion(lambda_reports, category)
-        for category in sorted({r.category for r in lambda_reports})
-    ]
-    payload = {
-        "k_policy": "final",
-        "projects": [
-            {
-                "project_id": r.project_id,
-                "category": r.category,
-                "n": r.n,
-                "k_used": r.k_used,
-                "lambda_p": r.lambda_p,
-                "lower_bound": r.lower_bound,
-            }
-            for r in sorted(lambda_reports, key=lambda r: r.project_id)
-        ],
-        "categories": [
-            {
-                "category": s.category,
-                "project_count": s.project_count,
-                "mean": s.mean,
-                "stdev": s.stdev,
-                "min": s.min,
-                "max": s.max,
-            }
-            for s in stats
-        ],
-    }
-    _write_or_stdout(json.dumps(payload, indent=2), args.json)
+    _write_or_stdout(diagnose(ledgers, ledger.load_pools(args.pools)), args.json)
     return 0
 
 

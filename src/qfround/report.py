@@ -6,14 +6,20 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .efficiency import lambda_p
+from .efficiency import dispersion, lambda_p, lambda_report
 from .errors import DomainError, NoMatchableProjectsError
-from .funding import MatchOutcome, ProjectLedger, cqf_allocate, matching_requirement, qf_target
+from .funding import MatchOutcome, ProjectLedger, compute_k, cqf_allocate, matching_requirement, qf_target
 
-__all__ = ["PROJECT_COLUMNS", "ProjectReport", "CategoryReport", "AllocationReport", "build_report"]
+__all__ = ["K_POLICY", "PROJECT_COLUMNS", "ProjectReport", "CategoryReport", "AllocationReport",
+           "build_report", "diagnose"]
 
+#: lambda_p is evaluated at each category's end-of-round k.
+K_POLICY = "final"
 #: Per-project columns of the JSON report and the allocate CSV, in order.
 PROJECT_COLUMNS = ("project_id", "contributors", "total", "f_qf", "m_qf", "m_actual", "f_actual", "lambda_p")
+#: Keys of diagnose's per-project (LambdaReport) and per-category (DispersionStats) objects.
+LAMBDA_KEYS = ("project_id", "category", "n", "k_used", "lambda_p", "lower_bound")
+DISPERSION_KEYS = ("category", "project_count", "mean", "stdev", "min", "max")
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,10 @@ class CategoryReport:
 @dataclass(frozen=True)
 class AllocationReport:
     categories: tuple[CategoryReport, ...]
-    # lambda_p is evaluated at each category's end-of-round k.
-    k_policy: str = "final"
 
     def to_json_dict(self) -> dict:
         return {
-            "k_policy": self.k_policy,
+            "k_policy": K_POLICY,
             "categories": [
                 {
                     "category": c.category,
@@ -72,6 +76,24 @@ class AllocationReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _by_category(
+    ledgers: Sequence[ProjectLedger], pools: Mapping[str, float]
+) -> list[tuple[str, float, list[ProjectLedger]]]:
+    """``(category, pool, ledgers sorted by project id)`` for every pool, by category name.
+
+    Raises DomainError for a ledger whose category has no pool.
+    """
+    members: dict[str, list[ProjectLedger]] = {name: [] for name in pools}
+    for ledger in ledgers:
+        if ledger.category not in pools:
+            raise DomainError(f"no pool configured for category {ledger.category!r}")
+        members[ledger.category].append(ledger)
+    return [
+        (category, float(pools[category]), sorted(members[category], key=lambda l: l.project_id))
+        for category in sorted(members)
+    ]
+
+
 def build_report(
     ledgers: Sequence[ProjectLedger],
     pools: Mapping[str, float],
@@ -85,15 +107,8 @@ def build_report(
     otherwise such categories are reported with k=None, zero matches, and
     ``degenerate`` set (simulator behavior for quiet days or empty rounds).
     """
-    by_category: dict[str, list[ProjectLedger]] = {name: [] for name in pools}
-    for ledger in ledgers:
-        if ledger.category not in pools:
-            raise DomainError(f"no pool configured for category {ledger.category!r}")
-        by_category[ledger.category].append(ledger)
     blocks = []
-    for category in sorted(by_category):
-        members = sorted(by_category[category], key=lambda l: l.project_id)
-        pool = float(pools[category])
+    for category, pool, members in _by_category(ledgers, pools):
         try:
             allocation = cqf_allocate(members, pool, category=category, cap_at_target=cap_at_target)
             k, surplus, outcomes = allocation.pool_state.k, allocation.surplus, allocation.by_project()
@@ -122,3 +137,25 @@ def build_report(
             CategoryReport(category, pool, k, cap_at_target, surplus, k is None, tuple(projects))
         )
     return AllocationReport(tuple(blocks))
+
+
+def diagnose(ledgers: Sequence[ProjectLedger], pools: Mapping[str, float]) -> str:
+    """JSON of every project's lambda_p at its category's k, and its spread per category.
+
+    Raises NoMatchableProjectsError for the first category, by name, that
+    needs no match.
+    """
+    reports, stats = [], []
+    for category, pool, members in _by_category(ledgers, pools):
+        k = compute_k(members, pool)
+        block = [lambda_report(l, k) for l in members if l.contributor_count]
+        reports += block
+        stats.append(dispersion(block, category))
+    return json.dumps({
+        "k_policy": K_POLICY,
+        "projects": [
+            {key: getattr(r, key) for key in LAMBDA_KEYS}
+            for r in sorted(reports, key=lambda r: r.project_id)
+        ],
+        "categories": [{key: getattr(s, key) for key in DISPERSION_KEYS} for s in stats],
+    }, indent=2)

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .efficiency import lambda_from_amounts
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError
 from .funding import Contribution, ContributionColumns, check_record, required_match
@@ -167,7 +166,6 @@ class RoundTrajectory:
     config: RoundConfig
     k_by_day: tuple[dict[str, float | None], ...]
     m_qf_by_day: tuple[dict[str, float], ...]
-    lambda_by_day: tuple[dict[str, float | None], ...]
     panel: tuple[Contribution, ...]
     event_jumps: tuple[EventJump, ...]
     final_report: AllocationReport
@@ -289,7 +287,6 @@ def run_round(
     one_shot_done: set[str] = set()
     k_by_day: list[dict[str, float | None]] = []
     m_by_day: list[dict[str, float]] = []
-    lambda_by_day: list[dict[str, float | None]] = []
     jumps: list[EventJump] = []
 
     for day in range(config.duration_days):
@@ -339,15 +336,6 @@ def run_round(
         nightly = {name: _k(need, pools[name]) for name, need in required.items()}
         k_by_day.append(nightly)
         m_by_day.append(m_qf)
-        snapshot: dict[str, float | None] = {}
-        for project in sorted(known):
-            k_cat = nightly[known[project]]
-            ledger = state.amounts[project]
-            if k_cat is None or not ledger:
-                snapshot[project] = None
-            else:
-                snapshot[project] = lambda_from_amounts(ledger.values(), k_cat)
-        lambda_by_day.append(snapshot)
         observed_k.update((name, k) for name, k in nightly.items() if k is not None)
 
     final_report = build_report(state.panel.ledgers(known), pools, strict=False)
@@ -355,7 +343,6 @@ def run_round(
         config=config,
         k_by_day=tuple(k_by_day),
         m_qf_by_day=tuple(m_by_day),
-        lambda_by_day=tuple(lambda_by_day),
         panel=state.panel.records(),
         event_jumps=tuple(jumps),
         final_report=final_report,

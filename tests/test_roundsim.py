@@ -183,12 +183,6 @@ class TestTrajectoryShape:
         spent = math.fsum(p.m_actual for p in block.projects)
         assert spent == pytest.approx(4.0, abs=1e-6)
 
-    def test_lambda_snapshot_present_once_matchable(self):
-        agents = [fixed(f"f{i}", 1.0, ["p1"]) for i in range(3)]
-        trajectory = run_round(one_category_config(projects=("p1",), days=4, seed=1), agents)
-        last = trajectory.lambda_by_day[-1]
-        assert last["p1"] is not None and last["p1"] > 0
-
 
 class TestBudgets:
     def test_overcommitted_fixed_agent_is_a_hard_error(self):
