@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .concentration import sqrt_shares
 from .errors import DomainError
 from .funding import ProjectLedger
-from .ledger import write_rows
 
 __all__ = [
     "LambdaReport",
@@ -36,7 +35,6 @@ __all__ = [
     "k_sweep",
     "dispersion",
     "format_profile_label",
-    "write_sweep_csv",
 ]
 
 
@@ -114,11 +112,6 @@ def k_sweep(ratio_profiles: Sequence[Sequence[float]], k_grid: Sequence[float]) 
         label = format_profile_label(profile)
         points.extend(SweepPoint(label, k, lambda_from_amounts(profile, k)) for k in k_grid)
     return points
-
-
-def write_sweep_csv(points: Iterable[SweepPoint], path) -> None:
-    rows = ((p.profile_label, p.k, p.lambda_p) for p in points)
-    write_rows(path, ("profile_label", "k", "lambda_p"), rows)
 
 
 @dataclass(frozen=True)

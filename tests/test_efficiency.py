@@ -14,7 +14,6 @@ from qfround.efficiency import (
     lambda_lower_bound,
     lambda_p,
     lambda_report,
-    write_sweep_csv,
 )
 from qfround.errors import DomainError
 from qfround.funding import ProjectLedger
@@ -126,6 +125,12 @@ class TestSweep:
     def test_profile_ordering_matches_balance(self):
         grid = [1.0 + 19.0 * i / 99 for i in range(100)]
         points = k_sweep([(1, 1), (1, 2), (1, 15)], grid)
+        assert [(p.profile_label, p.k) for p in points] == [
+            (label, k) for label in ("1:1", "1:2", "1:15") for k in grid
+        ]
+        for point in points:
+            amounts = [float(a) for a in point.profile_label.split(":")]
+            assert point.lambda_p == pytest.approx(hand_lambda(amounts, point.k), rel=1e-12)
         curves = {}
         for point in points:
             curves.setdefault(point.profile_label, []).append(point.lambda_p)
@@ -144,17 +149,6 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             k_sweep([(1, 1)], [])
-
-    def test_csv_emission(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(k_sweep([(1, 2)], [1.0, 2.0]), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "profile_label,k,lambda_p"
-        assert len(lines) == 3
-        label, k, value = lines[2].split(",")
-        assert label == "1:2"
-        assert float(k) == 2.0
-        assert float(value) == pytest.approx(hand_lambda([1, 2], 2.0), rel=1e-12)
 
 
 class TestDispersion:

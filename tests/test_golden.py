@@ -13,7 +13,6 @@ import pytest
 from test_cli import CONTRIBUTIONS, POOLS
 
 from qfround.cli import main
-from qfround.efficiency import k_sweep, write_sweep_csv
 from qfround.funding import Contribution
 from qfround.ledger import write_contributions
 
@@ -130,12 +129,6 @@ def test_write_contributions_bytes(tmp_path):
     path = tmp_path / "contributions.csv"
     write_contributions(path, records, {"p1": "infra", "p2": "apps"})
     assert_golden(path, "contributions.csv")
-
-
-def test_write_sweep_csv_bytes(tmp_path):
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(k_sweep([(1, 2), (1, 1, 3), (0.5, 7)], [1.0, 1.5, 2.0 / 3.0, 12.0]), path)
-    assert_golden(path, "sweep.csv")
 
 
 def test_sweep_k_default_stdout_bytes(capsys):
