@@ -138,6 +138,9 @@ class AgentSpec:
             raise DomainError(f"budget must be positive and finite, got {self.budget!r}")
         if not 0.0 <= self.activity <= 1.0:
             raise DomainError(f"activity must be in [0, 1], got {self.activity!r}")
+        rounds = self.defects_from_round
+        if rounds is not None and (type(rounds) is not int or rounds < 0):
+            raise DomainError(f"defects_from_round must be a nonnegative integer, got {rounds!r}")
         if self.kind == "honest":
             if self.fixed_amount is not None:
                 if not 0.0 < self.fixed_amount < math.inf or not self.projects:

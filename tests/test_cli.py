@@ -621,6 +621,15 @@ class TestMalformedRoundFile:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         assert f"{config}: {where[-1]} must be a string, got " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["soon", True, -1, 1.5])
+    def test_bad_defects_from_round(self, tmp_path, capsys, value):
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        broken["agents"][4]["defects_from_round"] = value
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        expected = f"{config}: defects_from_round must be a nonnegative integer, got {value!r}"
+        assert expected in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "where",
         [("categories", 1, "projects"), ("agents", 2, "projects")],
