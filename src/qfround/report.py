@@ -142,8 +142,9 @@ def build_report(
 def diagnose(ledgers: Sequence[ProjectLedger], pools: Mapping[str, float]) -> str:
     """JSON of every project's lambda_p at its category's k, and its spread per category.
 
-    Raises NoMatchableProjectsError for the first category, by name, that
-    needs no match.
+    Stops where ``build_report(strict=True)`` stops: DomainError for a
+    ledger without a pool, then NoMatchableProjectsError for the first
+    category, by name, whose projects need no match.
     """
     reports, stats = [], []
     for category, pool, members in _by_category(ledgers, pools):
