@@ -133,7 +133,7 @@ class TestDiagnose:
 
 
 #: Projects p0..p5 are spread over four categories; a row keeps its
-#: project's category unless it is drawn to conflict or to be garbled.
+#: project's category unless it is drawn to conflict.
 DIAGNOSE_CATEGORIES = ("a", "b", "c", "d")
 BAD_AMOUNTS = ("0", "-2", "nan", "x", "")
 
