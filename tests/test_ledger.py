@@ -1,15 +1,19 @@
 """Tests for ledger ingestion and the reciprocity forensics."""
 
+import contextlib
 import csv
+import io
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dictreader_loader
+import graph_oracle
 from synthgraph import community_percentages_fixture, generate_backing
 
+from qfround.cli import main
 from qfround.errors import DomainError, LedgerFormatError
 from qfround.funding import Contribution
 from qfround.ledger import (
@@ -425,3 +429,120 @@ class TestCrossCategory:
             for row in report.rows:
                 deltas.append(row.cross_reciprocal_share - row.outside_project_share)
         assert abs(statistics.fmean(deltas)) < 0.02
+
+
+#: Projects E and F are never on a team; m4 backs the teams it is on, and
+#: "outsider" is on none.  0.1, 0.2 and 0.3 sum to 0.6000000000000001 in
+#: this order, while math.fsum gives 0.6.
+GRAPH_PROJECTS = ("A", "B", "C", "D", "E", "F")
+GRAPH_MEMBERS = ("m1", "m2", "m3", "m4", "outsider")
+GRAPH_AMOUNTS = (0.1, 0.2, 0.3, 1.0, 2.25, 7.0, 1e6, 1e-3)
+
+
+@st.composite
+def backing_inputs(draw):
+    """``(teams, records, labels)``: a roster, ``(member, project, amount)``
+    records in order, and a category per project ("" when absent)."""
+    teams = draw(st.dictionaries(
+        st.sampled_from(GRAPH_PROJECTS[:4]),
+        st.frozensets(st.sampled_from(GRAPH_MEMBERS[:4]), min_size=1, max_size=3),
+    ))
+    records = draw(st.lists(
+        st.tuples(
+            st.sampled_from(GRAPH_MEMBERS),
+            st.sampled_from(GRAPH_PROJECTS),
+            st.sampled_from(GRAPH_AMOUNTS),
+        ),
+        max_size=30,
+    ))
+    labels = draw(st.dictionaries(
+        st.sampled_from(GRAPH_PROJECTS),
+        st.sampled_from(("x", "y", "")),
+    ))
+    return teams, records, labels
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _write_backing_files(directory, teams, records, labels):
+    contributions = directory / "contributions.csv"
+    with open(contributions, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CONTRIBUTIONS_COLUMNS)
+        for day, (member, project, amount) in enumerate(records):
+            writer.writerow((day, labels.get(project, ""), project, member, repr(amount)))
+    roster = directory / "teams.csv"
+    with open(roster, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("project_id", "member_id"))
+        writer.writerows((project, member) for project in teams for member in sorted(teams[project]))
+    return contributions, roster
+
+
+def _run_reciprocal(contributions, teams, out_dir, weighted):
+    """``(exit code, stdout, stderr, report bytes, cross bytes)``; the two
+    files are removed, so the next run writes into an empty directory."""
+    argv = ["reciprocal", "--contributions", str(contributions), "--teams", str(teams),
+            "--out-dir", str(out_dir)] + (["--weighted"] if weighted else [])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return (code, stdout.getvalue(), stderr.getvalue()) + _take_outputs(out_dir)
+
+
+def _take_outputs(out_dir):
+    texts = []
+    for name in ("reciprocal_report.csv", "cross_category.csv"):
+        path = out_dir / name
+        texts.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return tuple(texts)
+
+
+class TestGraphOracle:
+    """The graph, both statistics and the ``reciprocal`` command equal the
+    reference in ``graph_oracle`` exactly: edge amounts to the bit, every
+    report row, the slopes and the command's bytes."""
+
+    @given(inputs=backing_inputs())
+    @example(inputs=({"A": frozenset({"m1"})}, [], {}))
+    @example(inputs=(
+        {"A": frozenset({"m1", "m2"}), "B": frozenset({"m2"}), "C": frozenset({"m3"}),
+         "D": frozenset({"m4"})},
+        [("m1", "B", 0.1), ("m2", "B", 0.2), ("m2", "C", 1.0), ("m1", "B", 0.3),
+         ("m3", "A", 2.25), ("m2", "C", 7.0), ("outsider", "F", 1.0), ("m3", "C", 1.0)],
+        {"A": "x", "B": "y", "F": ""},
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_library_and_command_match_the_oracle(self, inputs, tmp_path_factory):
+        teams, records, labels = inputs
+        roster = TeamRoster(teams)
+        contributions = [Contribution(m, p, amount, 0) for m, p, amount in records]
+        graph = build_graph(contributions, roster, labels)
+        expected = graph_oracle.build_graph(contributions, roster, labels)
+        assert graph.edges == expected.edges
+        assert graph.self_support == expected.self_support
+        assert graph.categories == expected.categories
+        for node in expected.categories:
+            assert graph.outdegree(node) == expected.outdegree(node)
+            assert graph.out_neighbors(node) == expected.out_neighbors(node)
+            assert graph.reciprocal_partners(node) == expected.reciprocal_partners(node)
+        for weighted in (False, True):
+            assert _outcome(reciprocity_stats, graph, weighted=weighted) == _outcome(
+                graph_oracle.reciprocity_stats, expected, weighted=weighted
+            )
+        assert _outcome(cross_category_stats, graph) == _outcome(
+            graph_oracle.cross_category_stats, expected
+        )
+
+        directory = tmp_path_factory.mktemp("backing")
+        files = _write_backing_files(directory, teams, records, labels)
+        out_dir = directory / "out"
+        for weighted in (False, True):
+            reference = graph_oracle.reciprocal(*files, out_dir, weighted) + _take_outputs(out_dir)
+            assert _run_reciprocal(*files, out_dir, weighted) == reference
