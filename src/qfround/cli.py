@@ -140,6 +140,13 @@ def _string(value, key: str) -> str:
     return value
 
 
+def _integer(value, key: str) -> int:
+    """A round file's integer exactly as given; a float, a bool or anything else is a TypeError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _strings(value, key: str) -> tuple[str, ...]:
     """A round file's list of ids; a string is not split into characters but a TypeError."""
     if not isinstance(value, list):
@@ -152,8 +159,9 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
 
     A file that is not such a description raises LedgerFormatError
     ``path:line: reason`` for a JSON syntax error, ``path: reason`` otherwise.
-    Every id (category, project, agent, ring) must be a JSON string, and
-    every list of project ids a JSON list.
+    Every id (category, project, agent, ring) must be a JSON string, every
+    list of project ids a JSON list, and ``duration_days``, ``seed`` and a
+    pool event's ``day`` JSON integers.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -167,14 +175,16 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
                 )
                 for c in data["categories"]
             ),
-            duration_days=int(data["duration_days"]),
+            duration_days=_integer(data["duration_days"], "duration_days"),
             pool_events=tuple(
                 roundsim.PoolEvent(
-                    int(e["day"]), _string(e["category"], "category"), float(e["new_pool"])
+                    _integer(e["day"], "day"),
+                    _string(e["category"], "category"),
+                    float(e["new_pool"]),
                 )
                 for e in data.get("pool_events", ())
             ),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(data.get("seed", 0), "seed"),
         )
         agents = [
             roundsim.AgentSpec(
@@ -238,7 +248,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_reciprocal(args) -> int:
     loaded = _load_contributions(args.contributions)
     roster = ledger.load_roster(args.teams)
-    graph = ledger.build_graph(loaded.contributions, roster, loaded.project_categories)
+    graph = ledger.build_graph(loaded.columns, roster, loaded.project_categories)
     report = ledger.reciprocity_stats(graph, weighted=args.weighted)
     cross = ledger.cross_category_stats(graph)
     out_dir = Path(args.out_dir)

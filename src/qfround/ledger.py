@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import DomainError, LedgerFormatError
 from .funding import Contribution, ContributionColumns, check_record
 
@@ -212,33 +214,72 @@ def load_budgets(path) -> dict[str, float]:
     return _positive_by_key(path, "contributor_id", "budget")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContributionGraph:
-    #: node -> category; its keys are the graph's nodes
-    categories: dict[str, str]
-    #: (A, B) -> the amount that A's team members gave B
-    edges: dict[tuple[str, str], float]
-    self_support: dict[str, int]
+    """Project-to-project backing edges over sorted nodes, as arrays.
+
+    ``nodes`` are the project ids, sorted, and ``labels`` their categories.
+    Edge j runs from node ``sources[j]`` to node ``targets[j]``, sorted by
+    source, then target.  ``amounts[j]`` is what the source's team members
+    gave the target, summed in record order, and ``mutual[j]`` tells
+    whether the reverse edge exists.  ``self_counts[i]`` counts the records
+    node i's own members sent it.
+    """
+
+    nodes: tuple[str, ...]
+    labels: tuple[str, ...]
+    sources: np.ndarray
+    targets: np.ndarray
+    amounts: np.ndarray
+    mutual: np.ndarray
+    self_counts: np.ndarray
 
     @cached_property
-    def _adjacency(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {node: set() for node in self.categories}
-        for (a, b) in self.edges:
-            out[a].add(b)
-        return {node: frozenset(targets) for node, targets in out.items()}
+    def categories(self) -> dict[str, str]:
+        """Node -> category; its keys are the graph's nodes."""
+        return dict(zip(self.nodes, self.labels))
+
+    @cached_property
+    def edges(self) -> dict[tuple[str, str], float]:
+        """(A, B) -> the amount that A's team members gave B."""
+        names = self.nodes.__getitem__
+        return {
+            (names(a), names(b)): amount
+            for a, b, amount in zip(self.sources.tolist(), self.targets.tolist(), self.amounts.tolist())
+        }
+
+    @cached_property
+    def self_support(self) -> dict[str, int]:
+        """Node -> the records its own members sent it, for nodes with any."""
+        counts = self.self_counts.tolist()
+        return {node: count for node, count in zip(self.nodes, counts) if count}
+
+    @cached_property
+    def _bounds(self) -> dict[str, tuple[int, int]]:
+        """Node -> the slice of its out-edges."""
+        bounds = np.searchsorted(self.sources, np.arange(len(self.nodes) + 1)).tolist()
+        return {node: (bounds[i], bounds[i + 1]) for i, node in enumerate(self.nodes)}
+
+    def _targets(self, project: str, mutual_only: bool) -> Iterator[str]:
+        first, last = self._bounds.get(project, (0, 0))
+        targets = self.targets[first:last]
+        if mutual_only:
+            targets = targets[self.mutual[first:last]]
+        return map(self.nodes.__getitem__, targets.tolist())
 
     def outdegree(self, project: str) -> int:
-        return len(self._adjacency.get(project, ()))
+        first, last = self._bounds.get(project, (0, 0))
+        return last - first
 
     def out_neighbors(self, project: str) -> frozenset[str]:
-        return self._adjacency.get(project, frozenset())
+        return frozenset(self._targets(project, False))
 
     def reciprocal_partners(self, project: str) -> set[str]:
-        return {b for b in self.out_neighbors(project) if project in self.out_neighbors(b)}
+        return set(self._targets(project, True))
 
 
 def build_graph(
-    contributions: Iterable[Contribution],
+    contributions: ContributionColumns | Iterable[Contribution],
     roster: TeamRoster,
     categories: Mapping[str, str] | None = None,
 ) -> ContributionGraph:
@@ -246,22 +287,61 @@ def build_graph(
 
     Edge A->B exists when a member of A's team contributed to B (A != B);
     a member sending money to their own project is excluded and counted in
-    ``self_support`` instead.
+    ``self_support`` instead.  ``contributions`` are columns, or records,
+    which are put into columns first.
+
+    Each record becomes one row per team its contributor is on.  A row is
+    the key ``source * n_nodes + target``; one sort groups the rows by
+    edge, and an edge is mutual when ``np.searchsorted`` finds its key
+    among the sorted reverse keys.  An edge's amount is the sum of its
+    records in record order: ``np.add.reduceat`` sums one or two records,
+    whose sum does not depend on their order, and an edge of three or more
+    is summed in Python after its rows are put back in record order.
     """
+    if not isinstance(contributions, ContributionColumns):
+        records, contributions = contributions, ContributionColumns()
+        for record in records:
+            contributions.append(record.contributor_id, record.project_id, record.amount, record.day)
+    nodes = sorted(set(roster.members).union(contributions.project_codes))
+    index = {node: i for i, node in enumerate(nodes)}
+    width = max(len(nodes), 1)
     teams_of = roster.teams_of()
-    edges: dict[tuple[str, str], float] = {}
-    self_support: dict[str, int] = {}
-    nodes: set[str] = set(roster.members)
-    for record in contributions:
-        nodes.add(record.project_id)
-        for source in teams_of.get(record.contributor_id, ()):
-            if source == record.project_id:
-                self_support[source] = self_support.get(source, 0) + 1
-                continue
-            key = (source, record.project_id)
-            edges[key] = edges.get(key, 0.0) + record.amount
-    labels = {node: (categories or {}).get(node, "") for node in nodes}
-    return ContributionGraph(labels, edges, self_support)
+    teams = [[index[p] for p in teams_of.get(c, ())] for c in contributions.contributor_codes]
+    team_sizes = np.array([len(team) for team in teams], dtype=np.int64)
+    team_nodes = np.array([node for team in teams for node in team], dtype=np.int64)
+    project_nodes = np.array([index[p] for p in contributions.project_codes], dtype=np.int64)
+
+    contributors = np.frombuffer(contributions.contributors, dtype=np.int64)
+    repeats = team_sizes[contributors]
+    records = np.repeat(np.arange(len(contributors)), repeats)
+    # a row's rank among its record's rows, offset into the contributor's team
+    rank = np.arange(len(records)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+    team_starts = np.cumsum(team_sizes) - team_sizes
+    sources = team_nodes[team_starts[contributors[records]] + rank]
+    targets = project_nodes[np.frombuffer(contributions.projects, dtype=np.int64)[records]]
+    amounts = np.frombuffer(contributions.amounts, dtype=np.float64)[records]
+    own = sources == targets
+    self_counts = np.bincount(sources[own], minlength=len(nodes))
+
+    keys, amounts = sources[~own] * width + targets[~own], amounts[~own]
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(amounts[order], starts) if len(keys) else amounts
+    ends = np.append(starts[1:], len(keys))
+    for edge in np.flatnonzero(ends - starts >= 3).tolist():
+        total = 0.0
+        for amount in amounts[np.sort(order[starts[edge]:ends[edge]])].tolist():
+            total += amount
+        sums[edge] = total
+    keys = keys[starts]
+    sources, targets = np.divmod(keys, width)
+    # B->A is an edge exactly when A->B's key is among the reverse keys;
+    # -1 is no key, so a key past the last reverse key is not found
+    reverse = np.sort(targets * width + sources)
+    mutual = np.append(reverse, -1)[np.searchsorted(reverse, keys)] == keys
+    labels = tuple((categories or {}).get(node, "") for node in nodes)
+    return ContributionGraph(tuple(nodes), labels, sources, targets, sums, mutual, self_counts)
 
 
 @dataclass(frozen=True)
@@ -307,6 +387,23 @@ class ReciprocityReport:
     weighted: bool
 
 
+def _category_codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct categories, and each label's index among them."""
+    names = sorted(set(labels))
+    code = {name: i for i, name in enumerate(names)}
+    return names, np.array([code[label] for label in labels], dtype=np.int64)
+
+
+def _per_node(sources: np.ndarray, amounts: np.ndarray, n: int, weighted: bool) -> list[float]:
+    """Per node, its edges among sorted ``sources``: their count, or with
+    ``weighted`` the ``math.fsum`` of their amounts."""
+    if not weighted:
+        return np.bincount(sources, minlength=n).astype(float).tolist()
+    bounds = np.searchsorted(sources, np.arange(n + 1)).tolist()
+    amounts = amounts.tolist()
+    return [math.fsum(amounts[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> ReciprocityReport:
     """Outdegree vs reciprocated-backing counts, with fitted slopes.
 
@@ -315,30 +412,15 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
     squares with intercept and are absent (None) when fewer than two
     projects have positive outdegree.
     """
-    if not graph.categories:
+    if not graph.nodes:
         raise DomainError("empty graph")
-    rows = []
-    for node in sorted(graph.categories):
-        targets = graph.out_neighbors(node)
-        mutual = graph.reciprocal_partners(node)
-        cross_targets = {b for b in targets if graph.categories[b] != graph.categories[node]}
-        cross_mutual = mutual & cross_targets
-
-        def measure(group: set[str]) -> float:
-            if not weighted:
-                return float(len(group))
-            return math.fsum(graph.edges[(node, b)] for b in group)
-
-        rows.append(
-            ProjectReciprocity(
-                project_id=node,
-                category=graph.categories[node],
-                outdegree=measure(targets),
-                reciprocal=measure(mutual),
-                cross_outdegree=measure(cross_targets),
-                cross_reciprocal=measure(cross_mutual),
-            )
-        )
+    _names, codes = _category_codes(graph.labels)
+    cross = codes[graph.sources] != codes[graph.targets]
+    columns = [
+        _per_node(graph.sources[edges], graph.amounts[edges], len(graph.nodes), weighted)
+        for edges in (slice(None), graph.mutual, cross, graph.mutual & cross)
+    ]
+    rows = tuple(map(ProjectReciprocity, graph.nodes, graph.labels, *columns))
     active = [row for row in rows if row.outdegree > 0]
     slope = _ols([r.outdegree for r in active], [r.reciprocal for r in active])
     cross_active = [row for row in rows if row.cross_outdegree > 0]
@@ -346,7 +428,7 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
         [r.cross_outdegree for r in cross_active], [r.cross_reciprocal for r in cross_active]
     )
     cross_total = _ols([r.outdegree for r in active], [r.cross_reciprocal for r in active])
-    return ReciprocityReport(tuple(rows), slope, cross_cross, cross_total, weighted)
+    return ReciprocityReport(rows, slope, cross_cross, cross_total, weighted)
 
 
 @dataclass(frozen=True)
@@ -373,31 +455,26 @@ def cross_category_stats(graph: ContributionGraph) -> CrossCategoryReport:
     coincide in expectation.  A single-category graph yields zero cross
     shares and sets the warning flag.
     """
-    if not graph.categories:
+    if not graph.nodes:
         raise DomainError("empty graph")
-    total = len(graph.categories)
-    by_category: dict[str, list[str]] = {}
-    for node in sorted(graph.categories):
-        by_category.setdefault(graph.categories[node], []).append(node)
-    single = len(by_category) < 2
-    rows = []
-    for category in sorted(by_category):
-        members = by_category[category]
-        endpoints = 0
-        cross = 0
-        for node in members:
-            for partner in graph.reciprocal_partners(node):
-                endpoints += 1
-                if graph.categories[partner] != category:
-                    cross += 1
-        rows.append(
-            CategoryCross(
-                category=category,
-                project_count=len(members),
-                outside_project_share=(total - len(members)) / total,
-                cross_reciprocal_share=cross / endpoints if endpoints else 0.0,
-                reciprocal_endpoints=endpoints,
-                cross_endpoints=cross,
-            )
+    total = len(graph.nodes)
+    names, codes = _category_codes(graph.labels)
+    # one endpoint per mutual edge, in its source's category
+    sides = codes[graph.sources[graph.mutual]]
+    cross = sides != codes[graph.targets[graph.mutual]]
+    counts, endpoints, crossing = (
+        np.bincount(values, minlength=len(names)).tolist()
+        for values in (codes, sides, sides[cross])
+    )
+    rows = tuple(
+        CategoryCross(
+            category=category,
+            project_count=count,
+            outside_project_share=(total - count) / total,
+            cross_reciprocal_share=cross_ends / ends if ends else 0.0,
+            reciprocal_endpoints=ends,
+            cross_endpoints=cross_ends,
         )
-    return CrossCategoryReport(tuple(rows), single)
+        for category, count, ends, cross_ends in zip(names, counts, endpoints, crossing)
+    )
+    return CrossCategoryReport(rows, len(names) < 2)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfround.cli import main
+from qfround.funding import Contribution
 from qfround.ledger import load_contributions
 
 CONTRIBUTIONS = """day,category,project_id,contributor_id,amount
@@ -470,6 +471,24 @@ class TestReciprocal:
         assert set(cross) == {"x", "y"}
         assert summary["slope"] is not None
 
+    def test_builds_no_contribution_object(self, tmp_path, capsys, monkeypatch):
+        # the graph is built from the loader's columns
+        def refuse(record):
+            raise AssertionError(f"built {record!r}")
+
+        monkeypatch.setattr(Contribution, "__post_init__", refuse)
+        contributions = tmp_path / "contributions.csv"
+        contributions.write_text(
+            "day,category,project_id,contributor_id,amount\n0,x,B,a1,2\n1,y,A,b1,1\n",
+            encoding="utf-8",
+        )
+        teams = tmp_path / "teams.csv"
+        teams.write_text("project_id,member_id\nA,a1\nB,b1\n", encoding="utf-8")
+        argv = ["reciprocal", "--contributions", str(contributions), "--teams", str(teams),
+                "--out-dir", str(tmp_path / "forensics")]
+        assert main(argv) == 0
+        assert main(argv + ["--weighted"]) == 0
+
 
 VALUATIONS = "contributor_id,project_id,family,scale\na,p1,sqrt,2.0\nb,p1,sqrt,2.0\n"
 
@@ -629,6 +648,27 @@ class TestMalformedRoundFile:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         expected = f"{config}: defects_from_round must be a nonnegative integer, got {value!r}"
         assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("duration_days",), 12.9),
+            (("duration_days",), "6"),
+            (("seed",), True),
+            (("pool_events", 0, "day"), 2.5),
+        ],
+        ids=["fractional_duration", "string_duration", "boolean_seed", "fractional_event_day"],
+    )
+    def test_non_integer(self, tmp_path, capsys, where, value):
+        # int() would run 12.9 as 12 days and True as seed 1
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        target = broken
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = value
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: {where[-1]} must be an integer, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "where",
