@@ -299,9 +299,10 @@ def build_graph(
     is summed in Python after its rows are put back in record order.
     """
     if not isinstance(contributions, ContributionColumns):
-        records, contributions = contributions, ContributionColumns()
-        for record in records:
-            contributions.append(record.contributor_id, record.project_id, record.amount, record.day)
+        columns = ContributionColumns()
+        for record in contributions:
+            columns.append(record.contributor_id, record.project_id, record.amount, record.day)
+        contributions = columns
     nodes = sorted(set(roster.members).union(contributions.project_codes))
     index = {node: i for i, node in enumerate(nodes)}
     width = max(len(nodes), 1)
