@@ -8,7 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import planner_oracle
+
 from qfround.equilibrium import (
+    FAMILIES,
     Valuation,
     best_response,
     foc_lhs,
@@ -423,6 +426,61 @@ class TestPlanner:
     def test_bad_pool_rejected(self):
         with pytest.raises(DomainError):
             planner_optimum([sqrt_val("a", "p", 1.0)], 0.0)
+
+
+#: Planner problems: per project, one to four (family, scale) valuations.
+PLANNER_PROJECTS = st.lists(
+    st.lists(st.tuples(st.sampled_from(FAMILIES), _power_of_ten(-4.0, 4.0)), min_size=1, max_size=4),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestPlannerAgainstOracle:
+    """The planner aggregates each project's scales before inverting its
+    marginal; the oracle re-sums every valuation's marginal at each step."""
+
+    @given(PLANNER_PROJECTS, _power_of_ten(-4.0, 6.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracle(self, projects, pool):
+        assume(any(len({family for family, _ in vals}) == 2 for vals in projects))
+        vals = [
+            Valuation(f"c{i}", f"p{j}", family, scale)
+            for j, members in enumerate(projects)
+            for i, (family, scale) in enumerate(members)
+        ]
+        got = planner_optimum(vals, pool)
+        expected = planner_oracle.planner_optimum(vals, pool)
+        assert list(got.funds) == list(expected.funds)
+        for project, fund in expected.funds.items():
+            assert abs(got.funds[project] - fund) <= 1e-12 * pool
+        assert got.common_marginal == pytest.approx(expected.common_marginal, rel=1e-12, abs=0)
+        assert got.welfare == pytest.approx(expected.welfare, rel=1e-12, abs=0)
+
+
+class TestClampAgainstOracle:
+    def test_binding_budgets_match_the_scan(self):
+        rng = random.Random(15)
+        for trial in range(12):
+            vals = [
+                Valuation(f"c{i}", f"p{j}", rng.choice(FAMILIES), rng.uniform(0.5, 30.0))
+                for i in range(rng.randint(2, 5))
+                for j in range(rng.randint(1, 4))
+            ]
+            contributors = sorted({v.contributor_id for v in vals})
+            budgets = {cid: rng.uniform(0.05, 5.0) for cid in contributors if rng.random() < 0.7}
+            max_iter = 3 if trial % 4 == 0 else 500
+            got = best_response(vals, 2.5, budgets, max_iter=max_iter)
+            expected = planner_oracle.best_response(vals, 2.5, budgets, max_iter=max_iter)
+            assert list(got.contributions.items()) == list(expected.contributions.items())
+            assert got.clamped == expected.clamped
+            assert list(got.funds.items()) == list(expected.funds.items())
+            assert got.aggregate_marginal == expected.aggregate_marginal
+            assert (got.welfare, got.iterations, got.converged) == (
+                expected.welfare, expected.iterations, expected.converged
+            )
+            if max_iter > 3:
+                assert got.clamped  # the budgets bind
 
 
 class TestWelfare:
