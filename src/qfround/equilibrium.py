@@ -223,30 +223,29 @@ def best_response(
                 )
         return targets
 
+    keys_of: dict[str, list[tuple[str, str]]] = {}
+    for key in sorted(current):  # a contributor's keys in the order its targets are swept
+        keys_of.setdefault(key[0], []).append(key)
+    capped = [(keys_of[cid], b) for cid, b in (budgets or {}).items() if cid in keys_of and b > 0]
+
     def clamp(targets: dict[tuple[str, str], float]) -> set[tuple[str, str]]:
         hit: set[tuple[str, str]] = set()
-        if not budgets:
-            return hit
-        totals: dict[str, float] = {}
-        for (cid, _pid), value in targets.items():
-            totals[cid] = totals.get(cid, 0.0) + value
-        for cid, total in totals.items():
-            budget = budgets.get(cid)
-            if budget is not None and total > budget > 0:
-                factor = budget / total
-                for key in targets:
-                    if key[0] == cid:
-                        targets[key] *= factor
-                        hit.add(key)
+        for keys, budget in capped:
+            total = 0.0
+            for key in keys:
+                total += targets[key]
+            if total > budget:
+                hit.update(keys)
+                for key in keys:
+                    targets[key] *= budget / total
         return hit
 
     iterations = 0
     converged = False
-    clamped: set[tuple[str, str]] = set()
     for _ in range(max_iter):
         iterations += 1
         targets = sweep_targets()
-        clamped = clamp(targets)
+        clamp(targets)
         delta = 0.0
         for key, target in targets.items():
             step = DAMPING * (target - current[key])
@@ -292,29 +291,28 @@ class PlannerResult:
     welfare: float
 
 
-def _project_marginal(vals: Sequence[Valuation], funding: float) -> float:
-    return math.fsum(v.marginal(funding) for v in vals)
+def _invert_marginal(a: float, b: float, lam: float) -> float:
+    """Funding F where a project's summed marginal a/(2*sqrt(F)) + b/(1+F) equals lam.
 
+    ``a`` and ``b`` sum its sqrt and log scales; with both, the marginal is inf at F = 0.
+    """
+    if not b:
+        return (a / (2.0 * lam)) ** 2
+    if not a:
+        return max(0.0, b / lam - 1.0)
 
-def _invert_marginal(vals: Sequence[Valuation], lam: float) -> float:
-    """Funding level where the project's summed marginal equals lam (0 at corner)."""
-    families = {v.family for v in vals}
-    total_scale = math.fsum(v.scale for v in vals)
-    if families == {"sqrt"}:
-        return (total_scale / (2.0 * lam)) ** 2
-    if families == {"log"}:
-        return max(0.0, total_scale / lam - 1.0)
-    if _project_marginal(vals, 0.0) <= lam:
-        return 0.0
+    def marginal(funding: float) -> float:
+        return a / (2.0 * math.sqrt(funding)) + b / (1.0 + funding)
+
     hi = 1.0
     for _ in range(400):
-        if _project_marginal(vals, hi) < lam:
+        if marginal(hi) < lam:
             break
         hi *= 2.0
     lo = 0.0
     while hi - lo > 1e-13 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
-        if _project_marginal(vals, mid) > lam:
+        if marginal(mid) > lam:
             lo = mid
         else:
             hi = mid
@@ -324,9 +322,9 @@ def _invert_marginal(vals: Sequence[Valuation], lam: float) -> float:
 def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResult:
     """Split ``pool`` so summed marginal valuations equalize across projects.
 
-    Bisection on the common marginal: each candidate is inverted per project
-    (closed form for single-family projects), then the multiplier moves until
-    total funding matches the pool; funds are rescaled exactly at the end.
+    A project enters only through the ``fsum`` of its sqrt and of its log scales,
+    taken once; bisection on the common marginal inverts each project's marginal
+    until total funding matches the pool, and funds are rescaled exactly at the end.
     """
     if not valuations:
         raise DomainError("at least one valuation is required")
@@ -334,9 +332,10 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
         raise DomainError(f"pool must be positive, got {pool!r}")
     grouped = _group_by_project(valuations)
     projects = sorted(grouped)
+    scales = [[math.fsum(v.scale for v in grouped[p] if v.family == f) for f in FAMILIES] for p in projects]
 
     def total_funding(lam: float) -> float:
-        return math.fsum(_invert_marginal(grouped[p], lam) for p in projects)
+        return math.fsum(_invert_marginal(a, b, lam) for a, b in scales)
 
     lam_lo = lam_hi = 1.0
     for _ in range(400):
@@ -362,7 +361,7 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
         else:
             lam_hi = mid
     lam = 0.5 * (lam_lo + lam_hi)
-    funds = {p: _invert_marginal(grouped[p], lam) for p in projects}
+    funds = {p: _invert_marginal(a, b, lam) for p, (a, b) in zip(projects, scales)}
     spent = math.fsum(funds.values())
     if spent > 0:
         factor = pool / spent
