@@ -147,6 +147,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _real(value, key: str) -> float:
+    """A round file's number as a float; a bool, a string or anything else is a TypeError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _strings(value, key: str) -> tuple[str, ...]:
     """A round file's list of ids; a string is not split into characters but a TypeError."""
     if not isinstance(value, list):
@@ -160,8 +167,9 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
     A file that is not such a description raises LedgerFormatError
     ``path:line: reason`` for a JSON syntax error, ``path: reason`` otherwise.
     Every id (category, project, agent, ring) must be a JSON string, every
-    list of project ids a JSON list, and ``duration_days``, ``seed`` and a
-    pool event's ``day`` JSON integers.
+    list of project ids a JSON list, ``duration_days``, ``seed`` and a pool
+    event's ``day`` JSON integers, and every pool, budget, activity, scale and
+    fixed amount a JSON number.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -170,7 +178,7 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
             categories=tuple(
                 roundsim.CategorySpec(
                     _string(c["name"], "name"),
-                    float(c["pool"]),
+                    _real(c["pool"], "pool"),
                     _strings(c["projects"], "projects"),
                 )
                 for c in data["categories"]
@@ -180,7 +188,7 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
                 roundsim.PoolEvent(
                     _integer(e["day"], "day"),
                     _string(e["category"], "category"),
-                    float(e["new_pool"]),
+                    _real(e["new_pool"], "new_pool"),
                 )
                 for e in data.get("pool_events", ())
             ),
@@ -190,15 +198,15 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
             roundsim.AgentSpec(
                 agent_id=_string(raw["id"], "id"),
                 kind=raw["kind"],
-                budget=float(raw["budget"]),
-                activity=float(raw.get("activity", 1.0)),
+                budget=_real(raw["budget"], "budget"),
+                activity=_real(raw.get("activity", 1.0), "activity"),
                 valuations=tuple(
                     equilibrium.Valuation(
-                        raw["id"], _string(v["project"], "project"), v["family"], float(v["scale"])
+                        raw["id"], _string(v["project"], "project"), v["family"], _real(v["scale"], "scale")
                     )
                     for v in raw.get("valuations", ())
                 ),
-                fixed_amount=float(raw["fixed_amount"]) if "fixed_amount" in raw else None,
+                fixed_amount=_real(raw["fixed_amount"], "fixed_amount") if "fixed_amount" in raw else None,
                 projects=_strings(raw.get("projects", []), "projects"),
                 ring_id=_string(raw.get("ring", ""), "ring"),
                 own_project=_string(raw.get("own_project", ""), "own_project"),
@@ -210,7 +218,7 @@ def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.Agen
         raise LedgerFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except KeyError as exc:
         raise LedgerFormatError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise LedgerFormatError(f"{path}: {exc}") from None
     return config, agents
 

@@ -671,6 +671,37 @@ class TestMalformedRoundFile:
         assert f"{config}: {where[-1]} must be an integer, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("categories", 0, "pool"), True),
+            (("categories", 0, "pool"), "120000"),
+            (("agents", 0, "budget"), "50"),
+            (("pool_events", 0, "new_pool"), "150"),
+            (("agents", 0, "activity"), "0.9"),
+            (("agents", 0, "valuations", 0, "scale"), False),
+            (("agents", 2, "fixed_amount"), "2"),
+        ],
+        ids=["boolean_pool", "string_pool", "string_budget", "string_new_pool",
+             "string_activity", "boolean_scale", "string_fixed_amount"],
+    )
+    def test_non_number(self, tmp_path, capsys, where, value):
+        # float() would run True as a pool of 1.0 and "50" as a budget of 50
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        target = broken
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = value
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: {where[-1]} must be a number, got {value!r}" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        text = json.dumps(SIM_CONFIG).replace('"budget": 8.0', '"budget": 1' + "0" * 400, 1)
+        config = write_round(tmp_path, text)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: int too large to convert to float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "where",
         [("categories", 1, "projects"), ("agents", 2, "projects")],
         ids=["category_projects", "agent_projects"],
@@ -733,7 +764,7 @@ class TestFuzz:
     """Seeded mutations of valid inputs: the command exits 0, 1 or 2, never
     raises, and explains a nonzero exit on stderr."""
 
-    REPLACEMENTS = (None, "", "x", [], {}, ["x"], True, -1, 0, 1.5, math.nan)
+    REPLACEMENTS = (None, "", "x", "50", [], {}, ["x"], True, -1, 0, 1.5, math.nan)
     GARBLE = ("", "x", "-1", "nan", "1e400", "1.5", '"', "\x00", " ", ",")
 
     @staticmethod
