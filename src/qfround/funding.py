@@ -192,18 +192,18 @@ class ContributionColumns:
         """The records summed per (project, contributor) pair and per project.
 
         A pair is the key ``project * n_contributors + contributor``; one
-        stable sort on it groups the records by pair, and so by project.
-        Each pair's amount is the correctly rounded sum of its records, so
-        it does not depend on their order: ``np.add.reduceat`` sums one or
-        two records with at most one rounding, and a pair with three or
-        more is summed with ``math.fsum``.  Returns the pairs' contributor
-        codes and amounts in key order, each project's offsets into them,
-        and each project's ``math.fsum`` over its records.
+        sort on it groups the records by pair, and so by project.  Each
+        pair's amount is the correctly rounded sum of its records, so
+        neither their order nor the sort's order of equal keys moves a bit:
+        ``np.add.reduceat`` sums one or two records with at most one
+        rounding, and a pair with three or more is summed with ``math.fsum``.
+        Returns the pairs' contributor codes and amounts in key order, each
+        project's offsets into them, and each project's ``fsum`` of its records.
         """
         width = max(len(self.contributor_codes), 1)
         keys = np.frombuffer(self.projects, dtype=np.int64) * width
         keys += np.frombuffer(self.contributors, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys, records = keys[order], np.frombuffer(self.amounts, dtype=np.float64)[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         ends = np.append(starts[1:], len(keys))
