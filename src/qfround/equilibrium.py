@@ -235,9 +235,10 @@ def best_response(
             for key in keys:
                 total += targets[key]
             if total > budget:
-                hit.update(keys)
+                factor = budget / total
                 for key in keys:
-                    targets[key] *= budget / total
+                    targets[key] *= factor
+                hit.update(keys)
         return hit
 
     iterations = 0

@@ -282,7 +282,7 @@ def run_round(
                         f"agent {agent.agent_id!r} targets unknown project {project!r}"
                     )
 
-    by_project = [sorted(agent.valuations, key=lambda v: v.project_id) for agent in agents]
+    sorted_valuations = [sorted(agent.valuations, key=lambda v: v.project_id) for agent in agents]
     rng = random.Random(config.seed)
     observed_k: dict[str, float] = {c.name: 1.0 for c in config.categories}
     # Each category's requirement at the last night; nothing is emitted
@@ -302,7 +302,7 @@ def run_round(
             k_before, k_after = _k(need, old_pool), _k(need, event.new_pool)
             jumps.append(EventJump(day, event.category, old_pool, event.new_pool, k_before, k_after))
 
-        for agent, valuations in zip(agents, by_project):
+        for agent, valuations in zip(agents, sorted_valuations):
             draw = rng.random()  # always drawn so the stream stays aligned
             if draw >= agent.activity:
                 continue
