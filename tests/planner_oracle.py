@@ -14,7 +14,6 @@ from qfround.equilibrium import (
     TOL,
     EquilibriumResult,
     PlannerResult,
-    _funding,
     solve_best_contribution,
 )
 
@@ -152,7 +151,7 @@ def best_response(valuations, k, budgets=None, *, max_iter=10_000):
         vals = grouped[project]
         s_all = math.fsum(math.sqrt(current[(v.contributor_id, project)]) for v in vals)
         c_all = math.fsum(current[(v.contributor_id, project)] for v in vals)
-        funding = _funding(k, s_all, c_all)
+        funding = (s_all * s_all) / k + (1.0 - 1.0 / k) * c_all
         funds[project] = funding
         marginals[project] = math.fsum(v.marginal(funding) for v in vals)
     total_value = math.fsum(v.value(funds[v.project_id]) for vals in grouped.values() for v in vals)
