@@ -1,16 +1,22 @@
 """Tests for the day-by-day round engine."""
 
+import contextlib
 import csv
+import io
+import json
 import math
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfround.equilibrium import Valuation
+from qfround.cli import load_simulation_file, main
+from qfround.equilibrium import FAMILIES, Valuation
 from qfround.errors import BudgetBreachError, DomainError
 from qfround.funding import required_match
 from qfround.ledger import load_contributions
+from qfround.report import build_report
 from qfround.roundsim import (
     AgentSpec,
     CategorySpec,
@@ -439,3 +445,178 @@ class TestExactSums:
                 )
         ledgers = state.panel.ledgers({})
         assert {l.project_id: l.contributor_amounts() for l in ledgers} == state.amounts
+
+
+#: Spec fields whose round-file key differs from the field name.
+FILE_KEYS = {"agent_id": "id", "ring_id": "ring", "project_id": "project"}
+POOLS = st.floats(min_value=1.0, max_value=1000.0)
+
+
+@st.composite
+def round_specs(draw):
+    """A small valid ``(RoundConfig, agents)``: best-responders (often on
+    budgets that bind), fixed agents, colluder rings with and without
+    ``defects_from_round``, and pool events."""
+    categories, projects = [], []
+    for c in range(draw(st.integers(1, 3))):
+        names = tuple(f"p{len(projects) + i}" for i in range(draw(st.integers(1, 3))))
+        projects += names
+        categories.append(CategorySpec(f"c{c}", draw(POOLS), names))
+    days = draw(st.integers(1, 6))
+    events = draw(st.lists(
+        st.builds(PoolEvent, st.integers(0, days - 1), st.sampled_from([c.name for c in categories]), POOLS),
+        max_size=3,
+    ))
+    config = RoundConfig(tuple(categories), days, tuple(events), draw(st.integers(0, 2**31)))
+    agents = []
+    kinds = draw(st.lists(st.sampled_from(("responder", "fixed", "colluder")), max_size=8))
+    for i, kind in enumerate(kinds):
+        agent_id = f"a{i}"
+        budget = draw(st.floats(min_value=0.01, max_value=50.0))
+        activity = draw(st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0))
+        if kind == "responder":
+            targets = draw(st.lists(st.sampled_from(projects), min_size=1, max_size=3, unique=True))
+            valuations = tuple(
+                Valuation(agent_id, p, draw(st.sampled_from(FAMILIES)), draw(st.floats(0.1, 20.0)))
+                for p in targets
+            )
+            agents.append(AgentSpec(agent_id, "honest", budget, activity, valuations))
+        elif kind == "fixed":
+            targets = tuple(draw(st.lists(st.sampled_from(projects), min_size=1, max_size=3)))
+            amount = budget / len(targets) / draw(st.floats(1.0, 3.0))
+            agents.append(AgentSpec(agent_id, "honest", budget, activity, fixed_amount=amount, projects=targets))
+        else:
+            agents.append(AgentSpec(
+                agent_id, "reciprocal_colluder", budget, activity,
+                ring_id=draw(st.sampled_from(("r0", "r1"))),
+                own_project=draw(st.sampled_from(projects)),
+                defects_from_round=draw(st.none() | st.integers(0, 3)),
+            ))
+    return config, agents
+
+
+def round_file(config, agents, omit_defaults: bool) -> dict:
+    """The round file that describes ``config`` and ``agents``; a field at
+    its default is left out when ``omit_defaults`` is set, and a None never
+    written."""
+
+    def encode(value):
+        if isinstance(value, tuple):
+            return [encode(item) for item in value]
+        if not is_dataclass(value):
+            return value
+        data = {}
+        for field in fields(value):
+            item = getattr(value, field.name)
+            if item is None or field.name == "contributor_id":
+                continue
+            if omit_defaults and field.default is not MISSING and item == field.default:
+                continue
+            data[FILE_KEYS.get(field.name, field.name)] = encode(item)
+        return data
+
+    return {**encode(config), "agents": [encode(agent) for agent in agents]}
+
+
+def simulate(directory, config, agents) -> tuple[str, dict[str, bytes]]:
+    """``qfround simulate`` on the round file of ``config`` and ``agents``:
+    stdout, and the bytes of each output file."""
+    path = directory / "round.json"
+    path.write_text(json.dumps(round_file(config, agents, omit_defaults=True)), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["simulate", "--config", str(path), "--out-dir", str(directory / "out")]) == 0
+    outputs = {name: (directory / "out" / name).read_bytes() for name in SIMULATE_OUTPUTS}
+    return stdout.getvalue(), outputs
+
+
+SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
+
+
+class TestGeneratedRounds:
+    """Properties of random valid round files: the reader gives back the
+    specs the file was written from, and the simulator keeps every agent
+    within budget, spends each pool it matches with, is a function of
+    its seed, and writes outputs that agree with each other."""
+
+    @given(specs=round_specs(), omit_defaults=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_round_file_reads_back_as_its_specs(self, specs, omit_defaults, tmp_path_factory):
+        config, agents = specs
+        path = tmp_path_factory.mktemp("round") / "round.json"
+        path.write_text(json.dumps(round_file(config, agents, omit_defaults)), encoding="utf-8")
+        assert load_simulation_file(path) == (config, agents)
+
+    @given(specs=round_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_budgets_hold_and_pools_balance(self, specs):
+        config, agents = specs
+        trajectory = run_round(config, agents)
+        spent = {}
+        for record in trajectory.panel:
+            spent.setdefault(record.contributor_id, []).append(record.amount)
+        for agent in agents:
+            assert math.fsum(spent.get(agent.agent_id, ())) <= agent.budget * (1.0 + 1e-9)
+        for block in trajectory.final_report.categories:
+            paid = math.fsum(p.m_actual for p in block.projects)
+            assert paid == (0.0 if block.degenerate else pytest.approx(block.pool, abs=1e-6))
+
+    @given(specs=round_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_same_seed_same_bytes(self, specs, tmp_path_factory):
+        config, agents = specs
+        first, second = tmp_path_factory.mktemp("a"), tmp_path_factory.mktemp("b")
+        stdout_a, outputs_a = simulate(first, config, agents)
+        stdout_b, outputs_b = simulate(second, config, agents)
+        assert outputs_a == outputs_b
+        assert stdout_a.replace(str(first), "") == stdout_b.replace(str(second), "")
+
+    @given(specs=round_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_replay_from_the_panel(self, specs, tmp_path_factory):
+        """The panel loads back into the final ledgers, and each k_daily row
+        is that night's requirement, recomputed from the panel, over the
+        pool in force."""
+        config, agents = specs
+        directory = tmp_path_factory.mktemp("round")
+        simulate(directory, config, agents)
+        loaded = load_contributions(directory / "out" / "panel.csv")
+        assert not loaded.errors
+        pools = {c.name: c.pool for c in config.categories}
+        for event in sorted(config.pool_events, key=lambda e: e.day):
+            pools[event.category] = event.new_pool
+        replayed = build_report(loaded.columns.ledgers(loaded.project_categories), pools, strict=False)
+        final = json.loads((directory / "out" / "allocation_report.json").read_text())
+        by_project = {p["project_id"]: p for block in final["categories"] for p in block["projects"]}
+        replayed_ids = set()
+        for block in replayed.to_json_dict()["categories"]:
+            for project in block["projects"]:
+                replayed_ids.add(project["project_id"])
+                assert project == by_project[project["project_id"]]
+        assert all(p["contributors"] == 0 for pid, p in by_project.items() if pid not in replayed_ids)
+
+        with open(directory / "out" / "k_daily.csv", newline="") as handle:
+            k_rows = {(int(r["day"]), r["category"]): r["k"] for r in csv.DictReader(handle)}
+        with open(directory / "out" / "panel.csv", newline="") as handle:
+            panel = [(int(r["day"]), r["project_id"], r["contributor_id"], float(r["amount"]))
+                     for r in csv.DictReader(handle)]
+        assert len(k_rows) == config.duration_days * len(config.categories)
+        pools = {c.name: c.pool for c in config.categories}
+        for day in range(config.duration_days):
+            for event in config.pool_events:
+                if event.day == day:
+                    pools[event.category] = event.new_pool
+            records = {}
+            for when, project, contributor, amount in panel:
+                if when <= day:
+                    records.setdefault(project, {}).setdefault(contributor, []).append(amount)
+            for category in config.categories:
+                required = []
+                for project in category.projects:
+                    amounts = [math.fsum(a) for a in records.get(project, {}).values()]
+                    required.append(required_match(
+                        math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
+                    ))
+                need = math.fsum(required)
+                expected = repr(need / pools[category.name]) if need > 0.0 else ""
+                assert k_rows[(day, category.name)] == expected
