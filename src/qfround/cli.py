@@ -14,9 +14,10 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import efficiency, equilibrium, ledger, roundsim, strategy
-from .errors import DomainError, LedgerFormatError
+from .errors import DomainError
 from .funding import ProjectLedger
 from .report import PROJECT_COLUMNS, build_report, diagnose
+from .roundsim import load_simulation_file
 
 DEFAULT_SWEEP_PROFILES = "1:1,1:2,1:15"
 
@@ -131,96 +132,6 @@ def _cmd_equilibrium(args) -> int:
         }
     _write_or_stdout(json.dumps(payload, indent=2), args.json)
     return 0
-
-
-def _string(value, key: str) -> str:
-    """A round file's id exactly as given; anything but a JSON string is a TypeError."""
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _integer(value, key: str) -> int:
-    """A round file's integer exactly as given; a float, a bool or anything else is a TypeError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _real(value, key: str) -> float:
-    """A round file's number as a float; a bool, a string or anything else is a TypeError."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _strings(value, key: str) -> tuple[str, ...]:
-    """A round file's list of ids; a string is not split into characters but a TypeError."""
-    if not isinstance(value, list):
-        raise TypeError(f"{key} must be a list, got {value!r}")
-    return tuple(_string(item, key) for item in value)
-
-
-def load_simulation_file(path) -> tuple[roundsim.RoundConfig, list[roundsim.AgentSpec]]:
-    """Parse the JSON round description (categories, events, agents).
-
-    A file that is not such a description raises LedgerFormatError
-    ``path:line: reason`` for a JSON syntax error, ``path: reason`` otherwise.
-    Every id (category, project, agent, ring) must be a JSON string, every
-    list of project ids a JSON list, ``duration_days``, ``seed`` and a pool
-    event's ``day`` JSON integers, and every pool, budget, activity, scale and
-    fixed amount a JSON number.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        config = roundsim.RoundConfig(
-            categories=tuple(
-                roundsim.CategorySpec(
-                    _string(c["name"], "name"),
-                    _real(c["pool"], "pool"),
-                    _strings(c["projects"], "projects"),
-                )
-                for c in data["categories"]
-            ),
-            duration_days=_integer(data["duration_days"], "duration_days"),
-            pool_events=tuple(
-                roundsim.PoolEvent(
-                    _integer(e["day"], "day"),
-                    _string(e["category"], "category"),
-                    _real(e["new_pool"], "new_pool"),
-                )
-                for e in data.get("pool_events", ())
-            ),
-            seed=_integer(data.get("seed", 0), "seed"),
-        )
-        agents = [
-            roundsim.AgentSpec(
-                agent_id=_string(raw["id"], "id"),
-                kind=raw["kind"],
-                budget=_real(raw["budget"], "budget"),
-                activity=_real(raw.get("activity", 1.0), "activity"),
-                valuations=tuple(
-                    equilibrium.Valuation(
-                        raw["id"], _string(v["project"], "project"), v["family"], _real(v["scale"], "scale")
-                    )
-                    for v in raw.get("valuations", ())
-                ),
-                fixed_amount=_real(raw["fixed_amount"], "fixed_amount") if "fixed_amount" in raw else None,
-                projects=_strings(raw.get("projects", []), "projects"),
-                ring_id=_string(raw.get("ring", ""), "ring"),
-                own_project=_string(raw.get("own_project", ""), "own_project"),
-                defects_from_round=raw.get("defects_from_round"),
-            )
-            for raw in data.get("agents", ())
-        ]
-    except json.JSONDecodeError as exc:
-        raise LedgerFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except KeyError as exc:
-        raise LedgerFormatError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise LedgerFormatError(f"{path}: {exc}") from None
-    return config, agents
 
 
 def _cmd_simulate(args) -> int:

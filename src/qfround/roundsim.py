@@ -24,6 +24,8 @@ trajectory bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
 from collections.abc import Collection, Sequence
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
-from .errors import BudgetBreachError, DomainError
+from .errors import BudgetBreachError, DomainError, LedgerFormatError
 from .funding import Contribution, ContributionColumns, check_record, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_rows
 from .report import AllocationReport, build_report
@@ -152,6 +154,84 @@ class AgentSpec:
         else:
             if not self.ring_id or not self.own_project:
                 raise DomainError(f"colluder {self.agent_id!r} needs ring_id and own_project")
+
+
+#: A round-file key is the name of the spec field it fills, except these; a
+#: valuation's contributor has no key, as it is the agent that lists it.
+_KEY_OF_FIELD = {"agent_id": "id", "ring_id": "ring", "project_id": "project", "contributor_id": None}
+#: Each round-file key's JSON type as ``json.load`` gives it; a number reads as a float, a
+#: list as a tuple.  An untyped key (``defects_from_round``) goes as given to the spec.
+_KEY_TYPES = {
+    **dict.fromkeys(("name", "category", "id", "kind", "ring", "own_project", "project", "family"), str),
+    **dict.fromkeys(("duration_days", "seed", "day"), int),
+    **dict.fromkeys(("pool", "new_pool", "budget", "activity", "fixed_amount", "scale"), float),
+    "projects": [str], "categories": [CategorySpec], "pool_events": [PoolEvent],
+    "agents": [AgentSpec], "valuations": [Valuation],
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _key_table(cls) -> tuple[dict[str, tuple[int, object]], list]:
+    """``cls``'s round-file keys, ``{key: (field index, JSON type)}``, and its field defaults."""
+    fields = dataclasses.fields(cls)
+    keys = [_KEY_OF_FIELD.get(field.name, field.name) for field in fields]
+    return {key: (i, _KEY_TYPES.get(key)) for i, key in enumerate(keys) if key}, [f.default for f in fields]
+
+
+_KEYS = {cls: _key_table(cls) for cls in (RoundConfig, CategorySpec, PoolEvent, AgentSpec, Valuation)}
+
+
+def _value(value, key: str, json_type, parent: dict):
+    """``value`` of round-file ``key`` as its field takes it, where ``type(value)`` is not
+    ``json_type``; a TypeError when it is not of that JSON type.  In a list of specs, each
+    object's keys fill their fields, and an absent key leaves the field's default."""
+    if json_type is None:
+        return value
+    if json_type is float and type(value) is int:
+        return float(value)
+    if type(json_type) is not list:  # type(True) is bool, so a boolean is no number
+        raise TypeError(f"{key} must be {_TYPE_NAMES[json_type]}, got {value!r}")
+    if type(value) is not list:  # a string is not split into one-character ids
+        raise TypeError(f"{key} must be a list, got {value!r}")
+    [spec] = json_type
+    if spec is str:
+        return tuple([item if type(item) is str else _value(item, key, str, parent) for item in value])
+    table, defaults = _KEYS[spec]
+    if spec is Valuation:
+        defaults = [parent.get("id"), *defaults[1:]]
+    specs = []
+    for raw in value:
+        if type(raw) is not dict:
+            raise TypeError(f"{key} must hold objects, got {raw!r}")
+        fields = defaults.copy()
+        for name, item in raw.items():
+            try:
+                index, item_type = table[name]
+            except KeyError:
+                raise TypeError(f"unknown key {name!r} in {key}") from None
+            fields[index] = item if type(item) is item_type else _value(item, name, item_type, raw)
+        if len(raw) < len(table) and dataclasses.MISSING in fields:
+            missing = next(name for name, (index, _) in table.items() if fields[index] is dataclasses.MISSING)
+            raise TypeError(f"missing key {missing!r}")
+        specs.append(spec(*fields))
+    return tuple(specs)
+
+
+def load_simulation_file(path) -> tuple[RoundConfig, list[AgentSpec]]:
+    """Read a JSON round file, a RoundConfig's keys and its ``agents``; LedgerFormatError
+    ``path:line: reason`` for a JSON syntax error, ``path: reason`` for any other fault."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        if type(data) is not dict:
+            raise TypeError(f"a round file must be a JSON object, got {data!r}")
+        agents = data.pop("agents", [])
+        [config] = _value([data], "the round file", [RoundConfig], data)
+        return config, list(_value(agents, "agents", _KEY_TYPES["agents"], data))
+    except json.JSONDecodeError as exc:
+        raise LedgerFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LedgerFormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

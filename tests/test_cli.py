@@ -627,8 +627,10 @@ class TestMalformedRoundFile:
             (("agents", 4, "ring"), [1]),
             (("agents", 0, "valuations", 0, "project"), ["p"]),
             (("agents", 0, "id"), 7),
+            (("agents", 0, "kind"), 1),
+            (("agents", 0, "valuations", 0, "family"), 1),
         ],
-        ids=["category_name", "own_project", "ring", "valuation_project", "agent_id"],
+        ids=["category_name", "own_project", "ring", "valuation_project", "agent_id", "kind", "family"],
     )
     def test_non_string_id(self, tmp_path, capsys, where, value):
         broken = json.loads(json.dumps(SIM_CONFIG))
@@ -718,6 +720,63 @@ class TestMalformedRoundFile:
         config = write_round(tmp_path, json.dumps(broken))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         assert f"{config}: projects must be a list, got 'ab'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            (("agents", 0, "activty"), "unknown key 'activty' in agents"),
+            (("pool_event",), "unknown key 'pool_event' in the round file"),
+            (("categories", 0, "pools"), "unknown key 'pools' in categories"),
+            (("agents", 0, "valuations", 0, "sclae"), "unknown key 'sclae' in valuations"),
+        ],
+        ids=["agent", "round", "category", "valuation"],
+    )
+    def test_unknown_key(self, tmp_path, capsys, where, message):
+        # ignored, a misspelled "activty" would run the agent at activity 1.0
+        # and "pool_event" the round with no pool increase
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        target = broken
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = 0.5
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("agents",), {}),
+            (("pool_events",), {}),
+            (("agents",), ""),
+            (("categories",), {"apps": 1}),
+            (("agents", 0, "valuations"), "ab"),
+        ],
+        ids=["agents_object", "pool_events_object", "agents_string", "categories_object", "valuations_string"],
+    )
+    def test_container_not_a_list(self, tmp_path, capsys, where, value):
+        broken = json.loads(json.dumps(SIM_CONFIG))
+        target = broken
+        for step in where[:-1]:
+            target = target[step]
+        target[where[-1]] = value
+        config = write_round(tmp_path, json.dumps(broken))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: {where[-1]} must be a list, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "a round file must be a JSON object, got [1, 2]"),
+            (json.dumps({**SIM_CONFIG, "agents": [1]}), "agents must hold objects, got 1"),
+            (json.dumps({**SIM_CONFIG, "pool_events": ["day 3"]}), "pool_events must hold objects, got 'day 3'"),
+        ],
+        ids=["round", "agent", "pool_event"],
+    )
+    def test_not_an_object(self, tmp_path, capsys, text, message):
+        config = write_round(tmp_path, text)
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{config}: {message}" in capsys.readouterr().err
 
 
 class TestUnreadableInputs:

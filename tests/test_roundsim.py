@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfround.cli import load_simulation_file, main
+from qfround.cli import main
 from qfround.equilibrium import FAMILIES, Valuation
 from qfround.errors import BudgetBreachError, DomainError
 from qfround.funding import required_match
@@ -25,6 +25,7 @@ from qfround.roundsim import (
     _RoundState,
     deficit_curve,
     emit_panel,
+    load_simulation_file,
     run_repeated_rounds,
     run_round,
     write_deficit_curve,
