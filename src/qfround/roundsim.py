@@ -28,6 +28,7 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, replace
 
@@ -349,6 +350,12 @@ def run_round(
     state = _RoundState(known)
     pools = {c.name: float(c.pool) for c in config.categories}
     rings = _ring_projects(agents)
+    # budgets, ledgers and one-shot payments are kept by agent id, valuations by (agent, project)
+    ids = [agent.agent_id for agent in agents]
+    pairs = [(agent.agent_id, v.project_id) for agent in agents for v in agent.valuations]
+    for what, keys in (("agent", ids), ("valuation for", pairs)):
+        if len(set(keys)) < len(keys):
+            raise DomainError(f"duplicate {what} {Counter(keys).most_common(1)[0][0]!r}")
     for agent in agents:
         if agent.kind == "reciprocal_colluder":
             if agent.own_project not in known:

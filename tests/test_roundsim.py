@@ -5,7 +5,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +95,18 @@ class TestConfigValidation:
     def test_unknown_event_category(self):
         with pytest.raises(DomainError):
             one_category_config(events=[PoolEvent(1, "nope", 5.0)])
+
+    def test_duplicate_agent(self):
+        # one shared budget and one-shot flag: a fixed agent listed twice never paid
+        agents = [fixed("f1", 1.0, ["p1"]), honest("a1", {"p2": 2.0}), fixed("f1", 1.0, ["p2"], budget=2.0)]
+        with pytest.raises(DomainError, match="duplicate agent 'f1'"):
+            run_round(one_category_config(), agents)
+
+    def test_duplicate_valuation(self):
+        agent = honest("a1", {"p1": 3.0, "p2": 1.0})
+        agent = replace(agent, valuations=agent.valuations + (Valuation("a1", "p2", "log", 5.0),))
+        with pytest.raises(DomainError, match=r"duplicate valuation for \('a1', 'p2'\)"):
+            run_round(one_category_config(), [agent])
 
     def test_agent_targeting_unknown_project(self):
         config = one_category_config()
