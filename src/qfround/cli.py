@@ -63,7 +63,7 @@ def _parse_profiles(text: str) -> list[tuple[float, ...]]:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            raise DomainError(f"empty profile in {text!r}")
+            raise argparse.ArgumentTypeError(f"empty profile in {text!r}")
         try:
             amounts = tuple(float(part) for part in chunk.split(":"))
         except ValueError as exc:
@@ -72,6 +72,13 @@ def _parse_profiles(text: str) -> list[tuple[float, ...]]:
             raise argparse.ArgumentTypeError(f"bad ratio profile {chunk!r}: need positive amounts")
         profiles.append(amounts)
     return profiles
+
+
+def _parse_ring_sizes(text: str) -> list[int]:
+    try:
+        return [int(size) for size in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad ring sizes {text!r}: need comma-separated integers") from None
 
 
 def _cmd_sweep_k(args) -> int:
@@ -90,12 +97,11 @@ def _cmd_sweep_k(args) -> int:
 def _cmd_collusion(args) -> int:
     lines = ["n,k,alpha_star,alpha_double_star"]
     if args.sweep:
-        ns = [int(x) for x in args.ring_sizes.split(",")]
         if args.steps < 2 or args.k_max <= 1.0:
             raise DomainError("need at least 2 steps and k-max > 1")
         step = (args.k_max - 1.0) / (args.steps - 1)
         grid = [1.0 + i * step for i in range(args.steps)]
-        rows = strategy.threshold_sweep(ns, grid)
+        rows = strategy.threshold_sweep(args.ring_sizes, grid)
     else:
         rows = [strategy.collusion_thresholds(args.n, args.k)]
     lines += [f"{r.n},{r.k!r},{r.alpha_star!r},{r.alpha_double_star!r}" for r in rows]
@@ -234,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     collusion.add_argument("--n", type=int, default=25)
     collusion.add_argument("--k", type=float, default=1.0)
     collusion.add_argument("--sweep", action="store_true")
-    collusion.add_argument("--ring-sizes", default="10,25")
+    collusion.add_argument("--ring-sizes", type=_parse_ring_sizes, default="10,25")
     collusion.add_argument("--k-max", type=float, default=30.0)
     collusion.add_argument("--steps", type=int, default=30)
     collusion.add_argument("--out", default=None)

@@ -240,6 +240,12 @@ class TestSweepK:
             main(["sweep-k", "--profiles", "1:banana"])
         assert excinfo.value.code == 2
 
+    def test_empty_profile_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-k", "--profiles", ",1:2"])
+        assert excinfo.value.code == 2
+        assert "argument --profiles: empty profile in ',1:2'" in capsys.readouterr().err
+
 
 class TestCollusion:
     def test_point_values(self, capsys):
@@ -265,6 +271,13 @@ class TestCollusion:
             by_n.setdefault(int(n), []).append(float(double))
         for values in by_n.values():
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("sizes", ["10,x", "10,,25", ""])
+    def test_ring_sizes_not_integers_is_usage_error(self, capsys, sizes):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["collusion", "--sweep", "--ring-sizes", sizes])
+        assert excinfo.value.code == 2
+        assert f"argument --ring-sizes: bad ring sizes {sizes!r}" in capsys.readouterr().err
 
 
 class TestEquilibriumCommand:
