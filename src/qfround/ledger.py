@@ -279,7 +279,7 @@ class ContributionGraph:
 
 
 def build_graph(
-    contributions: ContributionColumns | Iterable[Contribution],
+    contributions: ContributionColumns,
     roster: TeamRoster,
     categories: Mapping[str, str] | None = None,
 ) -> ContributionGraph:
@@ -287,8 +287,7 @@ def build_graph(
 
     Edge A->B exists when a member of A's team contributed to B (A != B);
     a member sending money to their own project is excluded and counted in
-    ``self_support`` instead.  ``contributions`` are columns, or records,
-    which are put into columns first.
+    ``self_support`` instead.
 
     Each record becomes one row per team its contributor is on.  A row is
     the key ``source * n_nodes + target``; one sort groups the rows by
@@ -298,11 +297,6 @@ def build_graph(
     whose sum does not depend on their order, and an edge of three or more
     is summed in Python after its rows are put back in record order.
     """
-    if not isinstance(contributions, ContributionColumns):
-        columns = ContributionColumns()
-        for record in contributions:
-            columns.append(record.contributor_id, record.project_id, record.amount, record.day)
-        contributions = columns
     nodes = sorted(set(roster.members).union(contributions.project_codes))
     index = {node: i for i, node in enumerate(nodes)}
     width = max(len(nodes), 1)

@@ -2,8 +2,16 @@
 
 import random
 
-from qfround.funding import Contribution
+from qfround.funding import ContributionColumns
 from qfround.ledger import TeamRoster
+
+
+def columns_of(records):
+    """``(contributor, project, amount)`` records, in order, as columns; every day is 0."""
+    columns = ContributionColumns()
+    for contributor, project, amount in records:
+        columns.append(contributor, project, amount, 0)
+    return columns
 
 
 def generate_backing(
@@ -65,7 +73,7 @@ def generate_backing(
         if rng.random() < reciprocation_prob:
             if used[target] < quota[target] and target * n_projects + source not in edges:
                 add_edge(target, source)
-    contributions = [Contribution(members[a], projects[b], 1.0, 0) for a, b in pairs]
+    contributions = columns_of((members[a], projects[b], 1.0) for a, b in pairs)
     return contributions, roster, categories
 
 
@@ -78,11 +86,11 @@ def community_percentages_fixture():
     roster = TeamRoster({p: frozenset({f"m{p}"}) for p in projects})
     categories = {p: ("community" if p in set(community) else "general") for p in projects}
 
-    contributions = []
+    records = []
 
     def mutual(a, b):
-        contributions.append(Contribution(f"m{a}", b, 1.0, 0))
-        contributions.append(Contribution(f"m{b}", a, 1.0, 0))
+        records.append((f"m{a}", b, 1.0))
+        records.append((f"m{b}", a, 1.0))
 
     within = [
         (community[i], community[j])
@@ -94,4 +102,4 @@ def community_percentages_fixture():
     cross = [(c, o) for c in community for o in others]
     for a, b in cross[:142]:
         mutual(a, b)
-    return contributions, roster, categories
+    return columns_of(records), roster, categories

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dictreader_loader
 import graph_oracle
-from synthgraph import community_percentages_fixture, generate_backing
+from synthgraph import columns_of, community_percentages_fixture, generate_backing
 
 from qfround.cli import main
 from qfround.errors import DomainError, LedgerFormatError
@@ -220,18 +220,14 @@ class TestRosterAndPools:
 
 def two_team_graph():
     roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
-    contributions = [
-        Contribution("a1", "B", 2.0, 0),
-        Contribution("b1", "A", 1.0, 1),
-    ]
+    contributions = columns_of([("a1", "B", 2.0), ("b1", "A", 1.0)])
     return build_graph(contributions, roster, {"A": "x", "B": "y"})
 
 
 class TestBuildGraph:
     def test_disjoint_teams_no_edges(self):
         roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
-        contributions = [Contribution("stranger", "A", 1.0, 0)]
-        graph = build_graph(contributions, roster, {})
+        graph = build_graph(columns_of([("stranger", "A", 1.0)]), roster, {})
         assert graph.edges == {}
 
     def test_mutual_pair(self):
@@ -249,14 +245,14 @@ class TestBuildGraph:
                 "D": frozenset({"d1"}),
             }
         )
-        contributions = [
-            Contribution("a1", "B", 1.0, 0),
-            Contribution("a2", "B", 3.0, 0),   # second member, same edge
-            Contribution("b1", "A", 1.0, 0),
-            Contribution("a1", "C", 1.0, 0),
-            Contribution("d1", "C", 5.0, 0),
-            Contribution("c1", "C", 9.0, 0),   # self-support, not an edge
-        ]
+        contributions = columns_of([
+            ("a1", "B", 1.0),
+            ("a2", "B", 3.0),   # second member, same edge
+            ("b1", "A", 1.0),
+            ("a1", "C", 1.0),
+            ("d1", "C", 5.0),
+            ("c1", "C", 9.0),   # self-support, not an edge
+        ])
         graph = build_graph(contributions, roster, {})
         assert set(graph.edges) == {("A", "B"), ("B", "A"), ("A", "C"), ("D", "C")}
         assert graph.edges[("A", "B")] == pytest.approx(4.0)
@@ -265,8 +261,7 @@ class TestBuildGraph:
 
     def test_member_on_two_teams_projects_both(self):
         roster = TeamRoster({"A": frozenset({"m"}), "B": frozenset({"m"})})
-        contributions = [Contribution("m", "C", 1.0, 0)]
-        graph = build_graph(contributions, roster, {})
+        graph = build_graph(columns_of([("m", "C", 1.0)]), roster, {})
         assert set(graph.edges) == {("A", "C"), ("B", "C")}
 
     @given(
@@ -288,14 +283,12 @@ class TestBuildGraph:
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_definition(self, teams, records, labels):
         roster = TeamRoster(teams)
-        contributions = [Contribution(cid, pid, amount, 0) for cid, pid, amount in records]
-        graph = build_graph(contributions, roster, labels)
+        graph = build_graph(columns_of(records), roster, labels)
 
         def given_to(source: str, target: str) -> list[float]:
-            return [c.amount for c in contributions
-                    if c.project_id == target and c.contributor_id in teams[source]]
+            return [amount for cid, pid, amount in records if pid == target and cid in teams[source]]
 
-        nodes = set(teams) | {c.project_id for c in contributions}
+        nodes = set(teams) | {pid for _cid, pid, _amount in records}
         edges = {(a, b) for a in teams for b in nodes if a != b and given_to(a, b)}
         self_support = {a: len(given_to(a, a)) for a in teams if given_to(a, a)}
         assert set(graph.edges) == edges
@@ -316,9 +309,7 @@ class TestBuildGraph:
 class TestReciprocityStats:
     def test_perfect_mutual_triangle(self):
         roster = TeamRoster({p: frozenset({f"m{p}"}) for p in "ABC"})
-        contributions = [
-            Contribution(f"m{a}", b, 1.0, 0) for a in "ABC" for b in "ABC" if a != b
-        ]
+        contributions = columns_of((f"m{a}", b, 1.0) for a in "ABC" for b in "ABC" if a != b)
         graph = build_graph(contributions, roster, {})
         report = reciprocity_stats(graph)
         for row in report.rows:
@@ -330,11 +321,11 @@ class TestReciprocityStats:
         projects = ["A", "B", "C", "D"]
         roster = TeamRoster({p: frozenset({f"m{p}"}) for p in projects})
         pairs = [("A", "B"), ("A", "C"), ("A", "D"), ("B", "C")]
-        contributions = []
+        records = []
         for a, b in pairs:
-            contributions.append(Contribution(f"m{a}", b, 1.0, 0))
-            contributions.append(Contribution(f"m{b}", a, 1.0, 0))
-        report = reciprocity_stats(build_graph(contributions, roster, {}))
+            records.append((f"m{a}", b, 1.0))
+            records.append((f"m{b}", a, 1.0))
+        report = reciprocity_stats(build_graph(columns_of(records), roster, {}))
         for row in report.rows:
             assert row.reciprocal == row.outdegree
         assert report.slope.slope == pytest.approx(1.0, abs=1e-12)
@@ -343,13 +334,13 @@ class TestReciprocityStats:
     def test_star_graph_slope_zero(self):
         leaves = [f"L{i}" for i in range(5)]
         roster = TeamRoster({p: frozenset({f"m{p}"}) for p in ["hub"] + leaves})
-        contributions = [Contribution("mhub", leaf, 1.0, 0) for leaf in leaves]
+        records = [("mhub", leaf, 1.0) for leaf in leaves]
         # a couple of leaves back each other, never the hub
-        contributions += [
-            Contribution("mL0", "L1", 1.0, 0),
-            Contribution("mL1", "L0", 1.0, 0),
+        records += [
+            ("mL0", "L1", 1.0),
+            ("mL1", "L0", 1.0),
         ]
-        graph = build_graph(contributions, roster, {})
+        graph = build_graph(columns_of(records), roster, {})
         report = reciprocity_stats(graph)
         by_id = {row.project_id: row for row in report.rows}
         assert by_id["hub"].outdegree == 5
@@ -378,7 +369,7 @@ class TestReciprocityStats:
 
     def test_too_few_active_projects_slope_absent(self):
         roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
-        graph = build_graph([Contribution("a1", "B", 1.0, 0)], roster, {})
+        graph = build_graph(columns_of([("a1", "B", 1.0)]), roster, {})
         assert reciprocity_stats(graph).slope is None
 
     def test_weighted_variant_uses_amounts(self):
@@ -393,10 +384,10 @@ class TestReciprocityStats:
 class TestCrossCategory:
     def test_all_reciprocity_within_one_category(self):
         roster = TeamRoster({p: frozenset({f"m{p}"}) for p in ["A", "B", "C"]})
-        contributions = [
-            Contribution("mA", "B", 1.0, 0),
-            Contribution("mB", "A", 1.0, 0),
-        ]
+        contributions = columns_of([
+            ("mA", "B", 1.0),
+            ("mB", "A", 1.0),
+        ])
         graph = build_graph(contributions, roster, {"A": "x", "B": "x", "C": "y"})
         report = cross_category_stats(graph)
         rows = {row.category: row for row in report.rows}
@@ -405,7 +396,7 @@ class TestCrossCategory:
         assert not report.single_category
 
     def test_single_category_warns(self):
-        graph = build_graph([], TeamRoster({"A": frozenset({"m"})}), {"A": "only"})
+        graph = build_graph(columns_of([]), TeamRoster({"A": frozenset({"m"})}), {"A": "only"})
         report = cross_category_stats(graph)
         assert report.single_category
         assert report.rows[0].cross_reciprocal_share == 0.0
@@ -522,8 +513,8 @@ class TestGraphOracle:
     def test_library_and_command_match_the_oracle(self, inputs, tmp_path_factory):
         teams, records, labels = inputs
         roster = TeamRoster(teams)
+        graph = build_graph(columns_of(records), roster, labels)
         contributions = [Contribution(m, p, amount, 0) for m, p, amount in records]
-        graph = build_graph(contributions, roster, labels)
         expected = graph_oracle.build_graph(contributions, roster, labels)
         assert graph.edges == expected.edges
         assert graph.self_support == expected.self_support
