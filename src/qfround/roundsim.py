@@ -49,6 +49,7 @@ __all__ = [
     "RoundTrajectory",
     "QuadraticFit",
     "DeficitCurve",
+    "load_simulation_file",
     "run_round",
     "run_repeated_rounds",
     "deficit_curve",
@@ -175,7 +176,7 @@ _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 def _key_table(cls) -> tuple[dict[str, tuple[int, object]], list]:
     """``cls``'s round-file keys, ``{key: (field index, JSON type)}``, and its field defaults."""
     fields = dataclasses.fields(cls)
-    keys = [_KEY_OF_FIELD.get(field.name, field.name) for field in fields]
+    keys = [_KEY_OF_FIELD.get(f.name, f.name) for f in fields]
     return {key: (i, _KEY_TYPES.get(key)) for i, key in enumerate(keys) if key}, [f.default for f in fields]
 
 
