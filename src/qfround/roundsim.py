@@ -192,9 +192,9 @@ def _value(value, key: str, json_type, parent: dict):
     if json_type is float and type(value) is int:
         return float(value)
     if type(json_type) is not list:  # type(True) is bool, so a boolean is no number
-        raise TypeError(f"{key} must be {_TYPE_NAMES[json_type]}, got {value!r}")
+        raise TypeError(f"{key} must be {_TYPE_NAMES[json_type]}, got {value!r:.80}")
     if type(value) is not list:  # a string is not split into one-character ids
-        raise TypeError(f"{key} must be a list, got {value!r}")
+        raise TypeError(f"{key} must be a list, got {value!r:.80}")
     [spec] = json_type
     if spec is str:
         return tuple([item if type(item) is str else _value(item, key, str, parent) for item in value])
@@ -204,7 +204,7 @@ def _value(value, key: str, json_type, parent: dict):
     specs = []
     for raw in value:
         if type(raw) is not dict:
-            raise TypeError(f"{key} must hold objects, got {raw!r}")
+            raise TypeError(f"{key} must hold objects, got {raw!r:.80}")
         fields = defaults.copy()
         for name, item in raw.items():
             try:
@@ -226,7 +226,7 @@ def load_simulation_file(path) -> tuple[RoundConfig, list[AgentSpec]]:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
         if type(data) is not dict:
-            raise TypeError(f"a round file must be a JSON object, got {data!r}")
+            raise TypeError(f"a round file must be a JSON object, got {data!r:.80}")
         agents = data.pop("agents", [])
         [config] = _value([data], "the round file", [RoundConfig], data)
         return config, list(_value(agents, "agents", _KEY_TYPES["agents"], data))

@@ -777,6 +777,13 @@ class TestMalformedRoundFile:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         assert f"{config}: {where[-1]} must be a list, got {value!r}" in capsys.readouterr().err
 
+    def test_long_value_is_cut(self, tmp_path, capsys):
+        agents = {agent["id"]: agent for agent in SIM_CONFIG["agents"]}
+        config = write_round(tmp_path, json.dumps({**SIM_CONFIG, "agents": agents}))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: agents must be a list, got {repr(agents)[:80]}\n" in err
+
     @pytest.mark.parametrize(
         "text, message",
         [
