@@ -531,6 +531,9 @@ def round_file(config, agents, omit_defaults: bool) -> dict:
     return {**encode(config), "agents": [encode(agent) for agent in agents]}
 
 
+SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
+
+
 def simulate(directory, config, agents) -> tuple[str, dict[str, bytes]]:
     """``qfround simulate`` on the round file of ``config`` and ``agents``:
     stdout, and the bytes of each output file."""
@@ -541,9 +544,6 @@ def simulate(directory, config, agents) -> tuple[str, dict[str, bytes]]:
         assert main(["simulate", "--config", str(path), "--out-dir", str(directory / "out")]) == 0
     outputs = {name: (directory / "out" / name).read_bytes() for name in SIMULATE_OUTPUTS}
     return stdout.getvalue(), outputs
-
-
-SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
 
 
 class TestGeneratedRounds:
