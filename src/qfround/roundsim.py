@@ -199,8 +199,7 @@ def _value(value, key: str, json_type, parent: dict):
     if spec is str:
         return tuple([item if type(item) is str else _value(item, key, str, parent) for item in value])
     table, defaults = _KEYS[spec]
-    if spec is Valuation:
-        defaults = [parent.get("id"), *defaults[1:]]
+    defaults = [parent.get("id"), *defaults[1:]] if spec is Valuation else defaults
     specs = []
     for raw in value:
         if type(raw) is not dict:
@@ -351,20 +350,21 @@ def run_round(
     state = _RoundState(known)
     pools = {c.name: float(c.pool) for c in config.categories}
     rings = _ring_projects(agents)
-    # budgets, ledgers and one-shot payments are kept by agent id, valuations by (agent, project)
+    # budgets, ledgers and one-shot payments are all kept by agent id
     ids = [agent.agent_id for agent in agents]
-    pairs = [(agent.agent_id, v.project_id) for agent in agents for v in agent.valuations]
-    for what, keys in (("agent", ids), ("valuation for", pairs)):
-        if len(set(keys)) < len(keys):
-            raise DomainError(f"duplicate {what} {Counter(keys).most_common(1)[0][0]!r}")
+    if len(set(ids)) < len(ids):
+        raise DomainError(f"duplicate agent {Counter(ids).most_common(1)[0][0]!r}")
     for agent in agents:
+        valued = [v.project_id for v in agent.valuations]
+        if len(set(valued)) < len(valued):
+            raise DomainError(f"duplicate valuation for {(agent.agent_id, max(valued, key=valued.count))!r}")
         if agent.kind == "reciprocal_colluder":
             if agent.own_project not in known:
                 raise DomainError(
                     f"colluder {agent.agent_id!r} owns unknown project {agent.own_project!r}"
                 )
         else:
-            for project in agent.projects + tuple(v.project_id for v in agent.valuations):
+            for project in agent.projects + tuple(valued):
                 if project not in known:
                     raise DomainError(
                         f"agent {agent.agent_id!r} targets unknown project {project!r}"
