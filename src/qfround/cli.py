@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -68,8 +69,8 @@ def _parse_profiles(text: str) -> list[tuple[float, ...]]:
             amounts = tuple(float(part) for part in chunk.split(":"))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad ratio profile {chunk!r}: {exc}") from None
-        if len(amounts) < 1 or any(a <= 0 for a in amounts):
-            raise argparse.ArgumentTypeError(f"bad ratio profile {chunk!r}: need positive amounts")
+        if not all(0.0 < a < math.inf for a in amounts):
+            raise argparse.ArgumentTypeError(f"bad ratio profile {chunk!r}: need finite positive amounts")
         profiles.append(amounts)
     return profiles
 
@@ -83,6 +84,9 @@ def _parse_ring_sizes(text: str) -> list[int]:
 
 def _cmd_sweep_k(args) -> int:
     profiles = args.profiles
+    for flag, value in (("--k-min", args.k_min), ("--k-max", args.k_max)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value!r}")
     if args.steps < 2 or args.k_max <= args.k_min:
         raise DomainError("need at least 2 steps and k-max > k-min")
     step = (args.k_max - args.k_min) / (args.steps - 1)
@@ -97,6 +101,8 @@ def _cmd_sweep_k(args) -> int:
 def _cmd_collusion(args) -> int:
     lines = ["n,k,alpha_star,alpha_double_star"]
     if args.sweep:
+        if not math.isfinite(args.k_max):
+            raise DomainError(f"--k-max must be finite, got {args.k_max!r}")
         if args.steps < 2 or args.k_max <= 1.0:
             raise DomainError("need at least 2 steps and k-max > 1")
         step = (args.k_max - 1.0) / (args.steps - 1)

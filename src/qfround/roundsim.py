@@ -11,11 +11,11 @@ first-order condition each active day and top up toward it; contributions
 are irrevocable, so rising k shows up as agents ceasing to add rather than
 withdrawing.  The condition's left side falls in the amount, so its value
 at an agent's current amount (at most 1: nothing to add) settles most of
-these decisions without solving for the target.  Fixed agents emit a set amount once.  Reciprocal colluders
-split their budget evenly across all their ring's projects on their first
-active day, or dump it on their own project when defecting; across
-repeated rounds a grim trigger makes a ring stop cooperating after the
-first observed defection.
+these decisions without solving for the target.  Fixed agents emit a set
+amount once.  Reciprocal colluders split their budget evenly across all
+their ring's projects on their first active day, or dump it on their own
+project when defecting; across repeated rounds a grim trigger makes a ring
+stop cooperating after the first observed defection.
 
 Activity is a per-day Bernoulli draw from the agent's propensity with a
 seeded generator, so identical (config, agents, seed) reproduce the
@@ -273,8 +273,8 @@ class _RoundState:
     read back equals an ``fsum`` rescan of the ledger bit for bit.  An
     agent's amount in a ledger is the ``fsum`` of their records there, as in
     the final ledgers; ``repeated`` keeps the records of every (project,
-    agent) pair that has more than one.  ``panel`` holds every emitted
-    record, as columns.
+    agent) pair that has more than one.  ``shadow`` holds both sums as
+    floats, correctly rounded, and ``panel`` every emitted record, as columns.
     """
 
     def __init__(self, projects: Collection[str]):
@@ -282,6 +282,7 @@ class _RoundState:
         self.repeated: dict[tuple[str, str], list[float]] = {}
         self.sqrt_sums: dict[str, int] = dict.fromkeys(projects, 0)
         self.totals: dict[str, int] = dict.fromkeys(projects, 0)
+        self.shadow: dict[str, tuple[float, float]] = dict.fromkeys(projects, (0.0, 0.0))
         self.spent: dict[str, float] = {}
         self.panel = ContributionColumns(projects)
 
@@ -305,6 +306,7 @@ class _RoundState:
         ledger[agent.agent_id] = new
         self.sqrt_sums[project] += _exact(math.sqrt(new)) - _exact(math.sqrt(old))
         self.totals[project] += _exact(new) - _exact(old)
+        self.shadow[project] = (self.sqrt_sums[project] / _UNITS, self.totals[project] / _UNITS)
         check_record(amount, day)
         self.panel.append(agent.agent_id, project, amount, day)
 
@@ -313,13 +315,34 @@ class _RoundState:
 
     def others(self, project: str, own: float) -> tuple[float, float]:
         """Square-root sum and plain sum of the project's ledger without ``own``."""
+        if own == 0.0:
+            return self.shadow[project]
         return (
             (self.sqrt_sums[project] - _exact(math.sqrt(own))) / _UNITS,
             (self.totals[project] - _exact(own)) / _UNITS,
         )
 
     def requirement(self, project: str) -> float:
-        return required_match(*self.others(project, 0.0), len(self.amounts[project]))
+        return required_match(*self.shadow[project], len(self.amounts[project]))
+
+    def nothing_to_add(self, valuation: Valuation, k: float, own: float) -> bool:
+        """True only if ``foc_lhs(valuation, k, *self.others(project, own), own) <= 1``,
+        read from the shadow sums; False leaves the test to the exact sums.
+
+        Let u = 2**-53, m = min(k, 1), and S, C the exact sums.  The shadow's others-sums
+        are within 2.01u*S and 2.01u*C of the exact ones however much of S is ``own``, the
+        exact path's within u*S and u*C.  In the range below, no step before the marginal
+        value leaves the normal floats, and as C <= S*S*(1 + 2.01u), F >= 0.99*S*S/max(k, 1)
+        even where (1 - 1/k)*c < 0.  So F moves by 8.3u/m through the inputs and 17.5u/m in
+        rounding, the bracket 1 + s/(k*sqrt(own)) by 2.01u/m and 3u, the rest by 3u: each
+        path's lhs is within 35u/m of its value at the exact sums, and the margin
+        2**-45*(1 + 1/k) exceeds the 71u/m between them.  Underflow in the last two steps
+        adds under 2**-600; overflow gives inf.
+        """
+        s, c = self.shadow[valuation.project_id]
+        if not (2.0**-300 < own and s < 2.0**300 and 2.0**-20 <= k < 2.0**300):
+            return False
+        return foc_lhs(valuation, k, s - math.sqrt(own), c - own, own) < 1.0 - 2.0**-45 * (1.0 + 1.0 / k)
 
 
 def _k(required: float, pool: float) -> float | None:
@@ -413,8 +436,10 @@ def run_round(
                 for valuation in valuations:
                     project = valuation.project_id
                     own = state.amounts[project].get(agent.agent_id, 0.0)
-                    s_others, c_others = state.others(project, own)
                     k_obs = observed_k[known[project]]
+                    if state.nothing_to_add(valuation, k_obs, own):
+                        continue
+                    s_others, c_others = state.others(project, own)
                     if own > 0.0 and foc_lhs(valuation, k_obs, s_others, c_others, own) <= 1.0:
                         continue  # the best response is at most own: nothing to top up
                     target = solve_best_contribution(valuation, k_obs, s_others, c_others, own)

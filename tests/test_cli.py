@@ -246,6 +246,22 @@ class TestSweepK:
         assert excinfo.value.code == 2
         assert "argument --profiles: empty profile in ',1:2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profiles", ["1:inf", "1:nan", "-inf:1", "1:0"])
+    def test_non_finite_or_nonpositive_profile_is_usage_error(self, capsys, profiles):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-k", f"--profiles={profiles}", "--steps", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --profiles: bad ratio profile {profiles!r}: need finite positive amounts" in err
+
+    @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_k_bound_is_domain_error(self, capsys, flag, value):
+        assert main(["sweep-k", f"{flag}={value}", "--steps", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be finite, got {float(value)!r}\n"
+        assert captured.out == ""
+
 
 class TestCollusion:
     def test_point_values(self, capsys):
@@ -271,6 +287,13 @@ class TestCollusion:
             by_n.setdefault(int(n), []).append(float(double))
         for values in by_n.values():
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_sweep_k_max_is_domain_error(self, capsys, value):
+        assert main(["collusion", "--sweep", f"--k-max={value}", "--steps", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --k-max must be finite, got {float(value)!r}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("sizes", ["10,x", "10,,25", ""])
     def test_ring_sizes_not_integers_is_usage_error(self, capsys, sizes):

@@ -11,10 +11,12 @@ from pathlib import Path
 
 import pytest
 from test_cli import CONTRIBUTIONS, POOLS
+from test_roundsim import SHADOW_CALLS, checked_nothing_to_add
 
 from qfround.cli import main
 from qfround.funding import Contribution
 from qfround.ledger import write_contributions
+from qfround.roundsim import _RoundState
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE_ROUND = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
@@ -95,14 +97,24 @@ def test_reciprocal_bytes(tmp_path, capsys, weighted):
     assert_golden(out_dir / "cross_category.csv", f"cross_category{suffix}.csv")
 
 
-def test_simulate_sample_round_bytes(tmp_path, capsys):
+@pytest.fixture
+def checked_top_ups(monkeypatch):
+    """Every top-up test the shadow sums settle is checked against the exact
+    test, and at least one is settled."""
+    monkeypatch.setattr(_RoundState, "nothing_to_add", checked_nothing_to_add)
+    settled = SHADOW_CALLS[True]
+    yield
+    assert SHADOW_CALLS[True] > settled
+
+
+def test_simulate_sample_round_bytes(tmp_path, capsys, checked_top_ups):
     out_dir = tmp_path / "round"
     assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", str(out_dir)]) == 0
     for name in SIMULATE_OUTPUTS:
         assert_golden(out_dir / name, f"sample_round/{name}")
 
 
-def test_simulate_topup_round_bytes(tmp_path, capsys):
+def test_simulate_topup_round_bytes(tmp_path, capsys, checked_top_ups):
     """80 agents over 12 days at activity about 0.5: sqrt and log valuations,
     repeated top-ups of one (agent, project) pair, binding budgets, a pool
     event, a category whose pool exceeds its requirements (k < 1), fixed

@@ -5,14 +5,15 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfround.cli import main
-from qfround.equilibrium import FAMILIES, Valuation
+from qfround.equilibrium import FAMILIES, Valuation, foc_lhs, solve_best_contribution
 from qfround.errors import BudgetBreachError, DomainError
 from qfround.funding import required_match
 from qfround.ledger import load_contributions
@@ -453,11 +454,83 @@ class TestExactSums:
                 assert state.others(project, ledger.get(contributor, 0.0)) == expected
             for name in self.PROJECTS:
                 amounts = state.amounts[name].values()
-                assert state.requirement(name) == required_match(
-                    math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts), len(amounts)
-                )
+                sums = (math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts))
+                assert state.shadow[name] == state.others(name, 0.0) == sums
+                assert state.requirement(name) == required_match(*sums, len(amounts))
         ledgers = state.panel.ledgers({})
         assert {l.project_id: l.contributor_amounts() for l in ledgers} == state.amounts
+
+
+def exact_test(state, valuation, k, own) -> bool:
+    """The top-up test on the exact sums: the best response is at most ``own``."""
+    return foc_lhs(valuation, k, *state.others(valuation.project_id, own), own) <= 1.0
+
+
+SHADOW_TEST = _RoundState.nothing_to_add
+#: How often the checked shadow test below settled a skip (True) or left it open (False).
+SHADOW_CALLS = Counter()
+
+
+def checked_nothing_to_add(state, valuation, k, own) -> bool:
+    """``_RoundState.nothing_to_add``, asserting that a skip it settles is one
+    the exact test makes too (``run_round`` asks the exact test otherwise)."""
+    settled = SHADOW_TEST(state, valuation, k, own)
+    SHADOW_CALLS[settled] += 1
+    assert not settled or exact_test(state, valuation, k, own)
+    return settled
+
+
+@pytest.fixture(scope="class")
+def checked_top_ups():
+    """Every top-up test the shadow sums settle is checked against the exact test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_RoundState, "nothing_to_add", checked_nothing_to_add)
+        yield
+
+
+AMOUNTS = st.floats(min_value=1e-300, max_value=1e300)
+
+
+class TestShadowTopUps:
+    """A top-up test settled from the shadow sums decides as the exact test
+    does, on states built to be hard for its error bound."""
+
+    @given(
+        own=AMOUNTS,
+        others=st.lists(AMOUNTS, max_size=4),
+        dominant=st.booleans(),
+        k=st.floats(min_value=1e-3, max_value=1e3) | st.sampled_from((1e-3, 0.5, 1.0, 2.0, 1e3)),
+        family=st.sampled_from(FAMILIES),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+        own_at=st.sampled_from(("drawn", "target", "unit lhs")),
+        nudge=st.sampled_from((0.0, 2.0**-52, -(2.0**-52))) | st.floats(min_value=-1e-13, max_value=1e-13),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_agrees_with_the_exact_test(self, own, others, dominant, k, family, scale, own_at, nudge):
+        """``own`` is drawn, or the best response to the others, or its lhs is
+        1 + ``nudge`` (by the choice of scale); with ``dominant``, one other
+        agent holds 1e-12 of what ``own`` holds."""
+        if dominant:
+            others = [own * 1e-12]
+        state = _RoundState(("p",))
+        agents = [fixed(f"a{i}", 1.0, ["p"], budget=1e308) for i in range(len(others) + 1)]
+        for agent, amount in zip(agents[1:], others):
+            state.emit(0, agent, "p", amount)
+        valuation = Valuation("a0", "p", family, scale)
+        if own_at == "target":
+            try:
+                own = solve_best_contribution(valuation, k, *state.others("p", 0.0))
+            except (ArithmeticError, ValueError, DomainError):  # where the solver fails at extremes
+                assume(False)
+            assume(0.0 < own <= 1e300)
+        state.emit(0, agents[0], "p", own)
+        own = state.amounts["p"]["a0"]
+        if own_at == "unit lhs":
+            unit = foc_lhs(Valuation("a0", "p", family, 1.0), k, *state.others("p", own), own)
+            assume(0.0 < unit < math.inf and 0.0 < (1.0 + nudge) / unit < math.inf)
+            valuation = Valuation("a0", "p", family, (1.0 + nudge) / unit)
+        exact = exact_test(state, valuation, k, own)
+        assert (state.nothing_to_add(valuation, k, own) or exact) == exact  # run_round's test
 
 
 #: Spec fields whose round-file key differs from the field name.
@@ -546,11 +619,13 @@ def simulate(directory, config, agents) -> tuple[str, dict[str, bytes]]:
     return stdout.getvalue(), outputs
 
 
+@pytest.mark.usefixtures("checked_top_ups")
 class TestGeneratedRounds:
     """Properties of random valid round files: the reader gives back the
     specs the file was written from, and the simulator keeps every agent
     within budget, spends each pool it matches with, is a function of
-    its seed, and writes outputs that agree with each other."""
+    its seed, and writes outputs that agree with each other.  Every top-up
+    test the shadow sums settle is checked against the exact test."""
 
     @given(specs=round_specs(), omit_defaults=st.booleans())
     @settings(max_examples=100, deadline=None)
