@@ -82,17 +82,22 @@ def test_diagnose_bytes(fixture_round, tmp_path, capsys):
     assert_golden(out, "diagnose.json")
 
 
+def assert_stdout_golden(capsys, name: str) -> None:
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes(), f"stdout differs from golden/{name}"
+
+
 @pytest.mark.parametrize("weighted", [False, True])
-def test_reciprocal_bytes(tmp_path, capsys, weighted):
-    contributions = tmp_path / "contributions.csv"
-    contributions.write_text(ROSTER_CONTRIBUTIONS, encoding="utf-8")
-    teams = tmp_path / "teams.csv"
-    teams.write_text(ROSTER, encoding="utf-8")
-    out_dir = tmp_path / "forensics"
-    argv = ["reciprocal", "--contributions", str(contributions), "--teams", str(teams),
-            "--out-dir", str(out_dir)]
+def test_reciprocal_bytes(tmp_path, capsys, monkeypatch, weighted):
+    """The stdout summary names the outputs by the relative --out-dir."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "contributions.csv").write_text(ROSTER_CONTRIBUTIONS, encoding="utf-8")
+    (tmp_path / "teams.csv").write_text(ROSTER, encoding="utf-8")
+    argv = ["reciprocal", "--contributions", "contributions.csv", "--teams", "teams.csv",
+            "--out-dir", "forensics"]
     assert main(argv + (["--weighted"] if weighted else [])) == 0
     suffix = "_weighted" if weighted else ""
+    assert_stdout_golden(capsys, f"reciprocal{suffix}_stdout.json")
+    out_dir = tmp_path / "forensics"
     assert_golden(out_dir / "reciprocal_report.csv", f"reciprocal_report{suffix}.csv")
     assert_golden(out_dir / "cross_category.csv", f"cross_category{suffix}.csv")
 
@@ -107,21 +112,25 @@ def checked_top_ups(monkeypatch):
     assert SHADOW_CALLS[True] > settled
 
 
-def test_simulate_sample_round_bytes(tmp_path, capsys, checked_top_ups):
+def test_simulate_sample_round_bytes(tmp_path, capsys, monkeypatch, checked_top_ups):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", "round"]) == 0
+    assert_stdout_golden(capsys, "sample_round/stdout.json")
     out_dir = tmp_path / "round"
-    assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", str(out_dir)]) == 0
     for name in SIMULATE_OUTPUTS:
         assert_golden(out_dir / name, f"sample_round/{name}")
 
 
-def test_simulate_topup_round_bytes(tmp_path, capsys, checked_top_ups):
+def test_simulate_topup_round_bytes(tmp_path, capsys, monkeypatch, checked_top_ups):
     """80 agents over 12 days at activity about 0.5: sqrt and log valuations,
     repeated top-ups of one (agent, project) pair, binding budgets, a pool
     event, a category whose pool exceeds its requirements (k < 1), fixed
     agents and a four-member colluder ring."""
-    out_dir = tmp_path / "round"
+    monkeypatch.chdir(tmp_path)
     config = GOLDEN / "topup_round" / "round.json"
-    assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    assert main(["simulate", "--config", str(config), "--out-dir", "round"]) == 0
+    assert_stdout_golden(capsys, "topup_round/stdout.json")
+    out_dir = tmp_path / "round"
     panel = (out_dir / "panel.csv").read_text(encoding="utf-8").splitlines()[1:]
     pairs = Counter(tuple(row.split(",")[2:4]) for row in panel)
     assert sum(1 for count in pairs.values() if count > 1) >= 10
@@ -159,3 +168,24 @@ def test_sweep_k_profiles_stdout_bytes(capsys):
 def test_collusion_sweep_stdout_bytes(capsys):
     assert main(["collusion", "--sweep"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "collusion_sweep.txt").read_bytes()
+
+
+def test_collusion_one_row_stdout_bytes(capsys):
+    assert main(["collusion", "--n", "10", "--k", "2.5"]) == 0
+    assert_stdout_golden(capsys, "collusion_n10_k2.5.txt")
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("equilibrium.json", []),
+    ("equilibrium_budgets_planner.json",
+     ["--budgets", str(GOLDEN / "equilibrium" / "budgets.csv"), "--planner-pool", "12"]),
+])
+def test_equilibrium_bytes(tmp_path, capsys, name, extra):
+    """The valuations list projects and contributors out of sorted order; with
+    the budgets, carol's binds and alice's does not."""
+    out = tmp_path / "equilibrium.json"
+    argv = ["equilibrium", "--valuations", str(GOLDEN / "equilibrium" / "valuations.csv"),
+            "--k", "2.5", "--json", str(out)]
+    assert main(argv + extra) == 0
+    assert capsys.readouterr().err == ""
+    assert_golden(out, f"equilibrium/{name}")
