@@ -63,7 +63,6 @@ from .ledger import (
     load_pools,
     load_roster,
     reciprocity_stats,
-    write_contributions,
 )
 from .report import AllocationReport, build_report
 from .roundsim import (
@@ -157,5 +156,4 @@ __all__ = [
     "total_match_for_shares",
     "trigger_sustainable",
     "welfare",
-    "write_contributions",
 ]

@@ -11,13 +11,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import efficiency, equilibrium, ledger, roundsim, strategy
 from .errors import DomainError
 from .funding import ProjectLedger
-from .report import PROJECT_COLUMNS, build_report, diagnose
+from .ledger import field_dict, field_names
+from .report import ProjectReport, build_report, diagnose
 from .roundsim import load_simulation_file
 
 DEFAULT_SWEEP_PROFILES = "1:1,1:2,1:15"
@@ -48,8 +49,8 @@ def _cmd_allocate(args) -> int:
     report = build_report(ledgers, pools, cap_at_target=args.cap_at_target, strict=True)
     _write_or_stdout(report.to_json(), args.json)
     if args.csv:
-        rows = ((block.category, *p.row()) for block in report.categories for p in block.projects)
-        ledger.write_rows(args.csv, ("category", *PROJECT_COLUMNS), rows)
+        rows = ((c.category, *field_dict(p).values()) for c in report.categories for p in c.projects)
+        ledger.write_rows(args.csv, ("category", *field_names(ProjectReport)), rows)
     return 0
 
 
@@ -82,36 +83,37 @@ def _parse_ring_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad ring sizes {text!r}: need comma-separated integers") from None
 
 
-def _cmd_sweep_k(args) -> int:
-    profiles = args.profiles
-    for flag, value in (("--k-min", args.k_min), ("--k-max", args.k_max)):
-        if not math.isfinite(value):
+def _k_grid(args) -> list[float]:
+    """``--steps`` evenly spaced k from ``--k-min`` (collusion: from 1) to ``--k-max``."""
+    k_min = getattr(args, "k_min", None)
+    for flag, value in (("--k-min", k_min), ("--k-max", args.k_max)):
+        if value is not None and not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value!r}")
-    if args.steps < 2 or args.k_max <= args.k_min:
-        raise DomainError("need at least 2 steps and k-max > k-min")
-    step = (args.k_max - args.k_min) / (args.steps - 1)
-    grid = [args.k_min + i * step for i in range(args.steps)]
-    points = efficiency.k_sweep(profiles, grid)
-    lines = ["profile_label,k,lambda_p"]
-    lines += [f"{p.profile_label},{p.k!r},{p.lambda_p!r}" for p in points]
-    _write_or_stdout("\n".join(lines), args.out)
+    low, low_name = (1.0, "1") if k_min is None else (k_min, "k-min")
+    if args.steps < 2 or args.k_max <= low:
+        raise DomainError(f"need at least 2 steps and k-max > {low_name}")
+    step = (args.k_max - low) / (args.steps - 1)
+    return [low + i * step for i in range(args.steps)]
+
+
+def _write_table(cls, rows, path: str | None) -> None:
+    """A header of ``cls``'s field names, then each row's values as ``str`` (a float's repr)."""
+    names = field_names(cls)
+    lines = [",".join(names)] + [",".join(str(getattr(row, name)) for name in names) for row in rows]
+    _write_or_stdout("\n".join(lines), path)
+
+
+def _cmd_sweep_k(args) -> int:
+    _write_table(efficiency.SweepPoint, efficiency.k_sweep(args.profiles, _k_grid(args)), args.out)
     return 0
 
 
 def _cmd_collusion(args) -> int:
-    lines = ["n,k,alpha_star,alpha_double_star"]
     if args.sweep:
-        if not math.isfinite(args.k_max):
-            raise DomainError(f"--k-max must be finite, got {args.k_max!r}")
-        if args.steps < 2 or args.k_max <= 1.0:
-            raise DomainError("need at least 2 steps and k-max > 1")
-        step = (args.k_max - 1.0) / (args.steps - 1)
-        grid = [1.0 + i * step for i in range(args.steps)]
-        rows = strategy.threshold_sweep(args.ring_sizes, grid)
+        rows = strategy.threshold_sweep(args.ring_sizes, _k_grid(args))
     else:
         rows = [strategy.collusion_thresholds(args.n, args.k)]
-    lines += [f"{r.n},{r.k!r},{r.alpha_star!r},{r.alpha_double_star!r}" for r in rows]
-    _write_or_stdout("\n".join(lines), args.out)
+    _write_table(strategy.CollusionThresholds, rows, args.out)
     return 0
 
 
@@ -124,24 +126,11 @@ def _cmd_equilibrium(args) -> int:
     contributions: dict[str, dict[str, float]] = {}
     for (cid, pid), amount in sorted(result.contributions.items()):
         contributions.setdefault(cid, {})[pid] = amount
-    payload = {
-        "k": args.k,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "welfare": result.welfare,
-        "funds": dict(sorted(result.funds.items())),
-        "aggregate_marginal": dict(sorted(result.aggregate_marginal.items())),
-        "contributions": contributions,
-        "clamped": sorted(list(pair) for pair in result.clamped),
-    }
+    payload = {"k": args.k, **field_dict(result), "contributions": contributions,
+               "clamped": sorted(list(pair) for pair in result.clamped)}
     if args.planner_pool is not None:
         planner = equilibrium.planner_optimum(valuations, args.planner_pool)
-        payload["planner"] = {
-            "pool": args.planner_pool,
-            "funds": dict(sorted(planner.funds.items())),
-            "common_marginal": planner.common_marginal,
-            "welfare": planner.welfare,
-        }
+        payload["planner"] = {"pool": args.planner_pool, **field_dict(planner)}
     _write_or_stdout(json.dumps(payload, indent=2), args.json)
     return 0
 
@@ -185,15 +174,11 @@ def _cmd_reciprocal(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "reciprocal_report.csv"
-    columns = [f.name for f in fields(ledger.ProjectReciprocity)]
-    ledger.write_rows(report_path, columns, (
-        [f"{v:g}" if isinstance(v, float) else v for v in (getattr(row, c) for c in columns)]
-        for row in report.rows
+    ledger.write_rows(report_path, field_names(ledger.ProjectReciprocity), (
+        [f"{v:g}" if isinstance(v, float) else v for v in field_dict(row).values()] for row in report.rows
     ))
     cross_path = out_dir / "cross_category.csv"
-    columns = [f.name for f in fields(ledger.CategoryCross)]
-    rows = ([getattr(row, c) for c in columns] for row in cross.rows)
-    ledger.write_rows(cross_path, columns, rows)
+    ledger.write_records(cross_path, ledger.CategoryCross, cross.rows)
     if cross.single_category:
         print("warning: single-category graph, cross shares are trivially 0", file=sys.stderr)
 

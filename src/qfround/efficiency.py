@@ -69,22 +69,20 @@ def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
 
 @dataclass(frozen=True)
 class LambdaReport:
+    """One project's multiplier; its fields are the keys of ``diagnose``'s projects."""
+
     project_id: str
-    lambda_p: float
-    lower_bound: float
+    category: str
     n: int
     k_used: float
-    category: str = ""
+    lambda_p: float
+    lower_bound: float
 
 
 def lambda_report(ledger: ProjectLedger, k: float) -> LambdaReport:
     return LambdaReport(
-        project_id=ledger.project_id,
-        lambda_p=lambda_p(ledger, k),
-        lower_bound=lambda_lower_bound(ledger, k),
-        n=ledger.contributor_count,
-        k_used=k,
-        category=ledger.category,
+        ledger.project_id, ledger.category, ledger.contributor_count, k,
+        lambda_p(ledger, k), lambda_lower_bound(ledger, k),
     )
 
 
@@ -116,12 +114,14 @@ def k_sweep(ratio_profiles: Sequence[Sequence[float]], k_grid: Sequence[float]) 
 
 @dataclass(frozen=True)
 class DispersionStats:
+    """lambda_p's spread in one category; its fields are the keys of ``diagnose``'s categories."""
+
     category: str
+    project_count: int
     mean: float
     stdev: float
     min: float
     max: float
-    project_count: int
 
 
 def dispersion(reports: Iterable[LambdaReport], category: str) -> DispersionStats:
@@ -130,10 +130,5 @@ def dispersion(reports: Iterable[LambdaReport], category: str) -> DispersionStat
     if not values:
         raise DomainError(f"no reports in category {category!r}")
     return DispersionStats(
-        category=category,
-        mean=statistics.fmean(values),
-        stdev=statistics.pstdev(values),
-        min=min(values),
-        max=max(values),
-        project_count=len(values),
+        category, len(values), statistics.fmean(values), statistics.pstdev(values), min(values), max(values)
     )

@@ -154,12 +154,14 @@ def solve_best_contribution(
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    contributions: dict[tuple[str, str], float]
+    """A best-response profile; its fields are the keys of ``equilibrium``'s JSON, in order."""
+
+    converged: bool
+    iterations: int
+    welfare: float
     funds: dict[str, float]
     aggregate_marginal: dict[str, float]
-    welfare: float
-    iterations: int
-    converged: bool
+    contributions: dict[tuple[str, str], float]
     clamped: frozenset[tuple[str, str]]
 
 
@@ -194,6 +196,7 @@ def best_response(
     max(1, target): roots are resolved only to a relative step of 1e-13, so
     an absolute test could never pass for large amounts.  Non-convergence after
     ``max_iter`` sweeps returns converged=False rather than a silent answer.
+    ``funds`` and ``aggregate_marginal`` list projects in sorted order.
     """
     if not valuations:
         raise DomainError("at least one valuation is required")
@@ -285,7 +288,7 @@ def best_response(
 
 @dataclass(frozen=True)
 class PlannerResult:
-    """Welfare-maximizing split of a pool; welfare is net of the pool spend."""
+    """Welfare-maximizing split of a pool, net of its spend; the planner block's keys after ``pool``."""
 
     funds: dict[str, float]
     common_marginal: float
@@ -326,6 +329,7 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
     A project enters only through the ``fsum`` of its sqrt and of its log scales,
     taken once; bisection on the common marginal inverts each project's marginal
     until total funding matches the pool, and funds are rescaled exactly at the end.
+    ``funds`` lists projects in sorted order.
     """
     if not valuations:
         raise DomainError("at least one valuation is required")

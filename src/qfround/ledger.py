@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -34,9 +34,11 @@ __all__ = [
     "CrossCategoryReport",
     "read_rows",
     "write_rows",
+    "field_names",
+    "field_dict",
+    "write_records",
     "positive_field",
     "load_contributions",
-    "write_contributions",
     "load_roster",
     "load_pools",
     "load_budgets",
@@ -111,6 +113,23 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
         writer.writerows(rows)
 
 
+@cache
+def field_names(cls) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, in order: the keys or columns of its output."""
+    return tuple(f.name for f in fields(cls))
+
+
+def field_dict(record) -> dict:
+    """``record``'s fields by name, in order, read shallowly (``dataclasses.asdict`` copies deeply)."""
+    return {name: getattr(record, name) for name in field_names(type(record))}
+
+
+def write_records(path, cls, records: Iterable) -> None:
+    """Write dataclass ``records`` under a header of ``cls``'s field names."""
+    names = field_names(cls)
+    write_rows(path, names, ([getattr(record, name) for name in names] for record in records))
+
+
 def positive_field(path, line: int, text: str | None, column: str) -> float:
     """``text``, the value of ``column``, as a positive finite float, else LedgerFormatError."""
     try:
@@ -151,17 +170,6 @@ def load_contributions(path) -> LoadResult:
             errors.append(RowError(line, f"category conflict for {project!r}: keeping {kept!r}"))
         append(contributor, project, amount, day)
     return LoadResult(columns, categories, tuple(errors))
-
-
-def write_contributions(
-    path,
-    contributions: Iterable[Contribution],
-    project_categories: Mapping[str, str],
-) -> None:
-    write_rows(path, CONTRIBUTIONS_COLUMNS, (
-        (r.day, project_categories.get(r.project_id, ""), r.project_id, r.contributor_id, r.amount)
-        for r in contributions
-    ))
 
 
 @dataclass(frozen=True)

@@ -9,24 +9,20 @@ from dataclasses import dataclass
 from .efficiency import dispersion, lambda_p, lambda_report
 from .errors import DomainError, NoMatchableProjectsError
 from .funding import MatchOutcome, ProjectLedger, compute_k, cqf_allocate, matching_requirement, qf_target
+from .ledger import field_dict
 
-__all__ = ["K_POLICY", "PROJECT_COLUMNS", "ProjectReport", "CategoryReport", "AllocationReport",
-           "build_report", "diagnose"]
+__all__ = ["K_POLICY", "ProjectReport", "CategoryReport", "AllocationReport", "build_report", "diagnose"]
 
 #: lambda_p is evaluated at each category's end-of-round k.
 K_POLICY = "final"
-#: Per-project columns of the JSON report and the allocate CSV, in order.
-PROJECT_COLUMNS = ("project_id", "contributors", "total", "f_qf", "m_qf", "m_actual", "f_actual", "lambda_p")
-#: Keys of diagnose's per-project (LambdaReport) and per-category (DispersionStats) objects.
-LAMBDA_KEYS = ("project_id", "category", "n", "k_used", "lambda_p", "lower_bound")
-DISPERSION_KEYS = ("category", "project_count", "mean", "stdev", "min", "max")
 
 
 @dataclass(frozen=True)
 class ProjectReport:
+    """One project's row; its fields are the per-project keys and columns of ``allocate``."""
+
     project_id: str
-    category: str
-    contributor_count: int
+    contributors: int
     total: float
     f_qf: float
     m_qf: float
@@ -34,14 +30,11 @@ class ProjectReport:
     f_actual: float
     lambda_p: float | None
 
-    def row(self) -> tuple:
-        """The values of PROJECT_COLUMNS, in order."""
-        return (self.project_id, self.contributor_count, self.total, self.f_qf, self.m_qf,
-                self.m_actual, self.f_actual, self.lambda_p)
-
 
 @dataclass(frozen=True)
 class CategoryReport:
+    """One category's block; its fields are the keys of ``allocate``'s categories."""
+
     category: str
     pool: float
     k: float | None
@@ -59,16 +52,7 @@ class AllocationReport:
         return {
             "k_policy": K_POLICY,
             "categories": [
-                {
-                    "category": c.category,
-                    "pool": c.pool,
-                    "k": c.k,
-                    "cap_at_target": c.cap_at_target,
-                    "surplus": c.surplus,
-                    "degenerate": c.degenerate,
-                    "projects": [dict(zip(PROJECT_COLUMNS, p.row())) for p in c.projects],
-                }
-                for c in self.categories
+                {**field_dict(c), "projects": [field_dict(p) for p in c.projects]} for c in self.categories
             ],
         }
 
@@ -123,15 +107,8 @@ def build_report(
                 l.project_id, qf_target(l), matching_requirement(l), 0.0, l.total
             )
             projects.append(ProjectReport(
-                project_id=l.project_id,
-                category=category,
-                contributor_count=l.contributor_count,
-                total=l.total,
-                f_qf=o.f_qf,
-                m_qf=o.m_qf,
-                m_actual=o.m_actual,
-                f_actual=o.f_actual,
-                lambda_p=lambda_p(l, k) if k is not None and l.contributor_count else None,
+                l.project_id, l.contributor_count, l.total, o.f_qf, o.m_qf, o.m_actual, o.f_actual,
+                lambda_p(l, k) if k is not None and l.contributor_count else None,
             ))
         blocks.append(
             CategoryReport(category, pool, k, cap_at_target, surplus, k is None, tuple(projects))
@@ -154,9 +131,6 @@ def diagnose(ledgers: Sequence[ProjectLedger], pools: Mapping[str, float]) -> st
         stats.append(dispersion(block, category))
     return json.dumps({
         "k_policy": K_POLICY,
-        "projects": [
-            {key: getattr(r, key) for key in LAMBDA_KEYS}
-            for r in sorted(reports, key=lambda r: r.project_id)
-        ],
-        "categories": [{key: getattr(s, key) for key in DISPERSION_KEYS} for s in stats],
+        "projects": [field_dict(r) for r in sorted(reports, key=lambda r: r.project_id)],
+        "categories": [field_dict(s) for s in stats],
     }, indent=2)

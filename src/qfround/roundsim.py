@@ -37,7 +37,7 @@ import numpy as np
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError, LedgerFormatError
 from .funding import Contribution, ContributionColumns, check_record, required_match
-from .ledger import CONTRIBUTIONS_COLUMNS, write_rows
+from .ledger import CONTRIBUTIONS_COLUMNS, write_records, write_rows
 from .report import AllocationReport, build_report
 
 __all__ = [
@@ -509,6 +509,8 @@ class QuadraticFit:
 
 @dataclass(frozen=True)
 class DeficitPoint:
+    """One project's requirement; its fields are the columns of ``deficit_curve.csv``."""
+
     project_id: str
     m_qf: float
     contributor_count: int
@@ -525,7 +527,7 @@ def deficit_curve(trajectory: RoundTrajectory) -> DeficitCurve:
     points = []
     for block in trajectory.final_report.categories:
         for project in block.projects:
-            points.append(DeficitPoint(project.project_id, project.m_qf, project.contributor_count))
+            points.append(DeficitPoint(project.project_id, project.m_qf, project.contributors))
     points.sort(key=lambda p: p.project_id)
     xs = np.array([p.contributor_count for p in points], dtype=float)
     ys = np.array([p.m_qf for p in points], dtype=float)
@@ -579,6 +581,4 @@ def write_k_series(trajectory: RoundTrajectory, path) -> None:
 
 
 def write_deficit_curve(curve: DeficitCurve, path) -> None:
-    write_rows(path, ("project_id", "m_qf", "contributor_count"), (
-        (point.project_id, point.m_qf, point.contributor_count) for point in curve.points
-    ))
+    write_records(path, DeficitPoint, curve.points)

@@ -160,8 +160,8 @@ class TestDispersion:
 
     def test_two_point_arithmetic(self):
         reports = [
-            LambdaReport("p1", 1.0, 1.0, 2, 2.0, category="c"),
-            LambdaReport("p2", 2.0, 1.5, 2, 2.0, category="c"),
+            LambdaReport("p1", "c", n=2, k_used=2.0, lambda_p=1.0, lower_bound=1.0),
+            LambdaReport("p2", "c", n=2, k_used=2.0, lambda_p=2.0, lower_bound=1.5),
         ]
         stats = dispersion(reports, "c")
         assert stats.mean == pytest.approx(1.5)
@@ -171,7 +171,7 @@ class TestDispersion:
 
     def test_empty_category_rejected(self):
         with pytest.raises(DomainError):
-            dispersion([LambdaReport("p", 1.0, 1.0, 2, 1.0, category="c")], "other")
+            dispersion([LambdaReport("p", "c", n=2, k_used=1.0, lambda_p=1.0, lower_bound=1.0)], "other")
 
     def test_scarcer_pool_spreads_multipliers(self):
         # Same projects, two pool levels: k=1 pins every multiplier at 1.

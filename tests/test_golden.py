@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 from test_cli import CONTRIBUTIONS, POOLS
+from test_ledger import write_contributions
 from test_roundsim import SHADOW_CALLS, checked_nothing_to_add
 
 from qfround.cli import main
 from qfround.funding import Contribution
-from qfround.ledger import write_contributions
 from qfround.roundsim import _RoundState
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -25,7 +25,7 @@ from qfround.ledger import (
     load_pools,
     load_roster,
     reciprocity_stats,
-    write_contributions,
+    write_rows,
 )
 
 GOLDEN = """day,category,project_id,contributor_id,amount
@@ -33,6 +33,14 @@ GOLDEN = """day,category,project_id,contributor_id,amount
 1,infra,p1,bob,1
 2,apps,p2,carol,2.5
 """
+
+
+def write_contributions(path, records, project_categories) -> None:
+    """A contributions CSV of ``records``; a project without a category gets ""."""
+    write_rows(path, CONTRIBUTIONS_COLUMNS, (
+        (r.day, project_categories.get(r.project_id, ""), r.project_id, r.contributor_id, r.amount)
+        for r in records
+    ))
 
 
 class TestLoadContributions:
