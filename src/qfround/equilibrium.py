@@ -122,7 +122,9 @@ def solve_best_contribution(
     it is not positive): every step is clipped to +-2 and falls back to the
     midpoint of the sign bracket found so far when it would leave it.  It
     stops once a step or the bracket is below 1e-13 relative, so even tiny
-    interior roots satisfy their first-order condition to well under 1e-6.
+    interior roots satisfy their first-order condition to well under 1e-6,
+    or once no float lies strictly inside the bracket: it then returns the
+    bracket's low end, which is the corner 0 when f > 1 was never seen.
     """
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
@@ -144,11 +146,13 @@ def solve_best_contribution(
             return 0.5 * (lo + hi)
         # d ln f / d ln c, using dF/dc = bracket.
         slope = c * bracket * valuation.marginal_decay(funding) + 0.5 * (bracket - 1.0) / bracket
-        step = max(-2.0, min(2.0, math.log(lhs) / slope))
+        step = max(-2.0, min(2.0, math.log(lhs) / slope)) if lhs > 0.0 else -2.0  # 0 when F overflows
         after = c * math.exp(step)
         if abs(after - c) <= 1e-13 * c:
             return after
         c = after if lo < after < hi else 0.5 * (lo + hi)
+        if hi < math.inf and not lo < c < hi:
+            return lo
     raise DomainError("best-response root search did not converge")  # pragma: no cover
 
 

@@ -306,7 +306,10 @@ class _RoundState:
         ledger[agent.agent_id] = new
         self.sqrt_sums[project] += _exact(math.sqrt(new)) - _exact(math.sqrt(old))
         self.totals[project] += _exact(new) - _exact(old)
-        self.shadow[project] = (self.sqrt_sums[project] / _UNITS, self.totals[project] / _UNITS)
+        try:
+            self.shadow[project] = (self.sqrt_sums[project] / _UNITS, self.totals[project] / _UNITS)
+        except OverflowError:
+            raise DomainError(f"contributions to project {project!r} sum past the largest float") from None
         check_record(amount, day)
         self.panel.append(agent.agent_id, project, amount, day)
 
@@ -437,13 +440,16 @@ def run_round(
                     project = valuation.project_id
                     own = state.amounts[project].get(agent.agent_id, 0.0)
                     k_obs = observed_k[known[project]]
+                    remaining = state.remaining(agent)
+                    if remaining <= 1e-12 and math.isfinite(k_obs):
+                        continue  # the top-up is capped at remaining: nothing can be emitted
                     if state.nothing_to_add(valuation, k_obs, own):
                         continue
                     s_others, c_others = state.others(project, own)
                     if own > 0.0 and foc_lhs(valuation, k_obs, s_others, c_others, own) <= 1.0:
                         continue  # the best response is at most own: nothing to top up
                     target = solve_best_contribution(valuation, k_obs, s_others, c_others, own)
-                    top_up = min(target - own, state.remaining(agent))
+                    top_up = min(target - own, remaining)
                     if top_up > 1e-12:
                         state.emit(day, agent, project, top_up)
 

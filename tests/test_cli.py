@@ -425,6 +425,34 @@ class TestSimulate:
         assert not loaded.errors
         assert len(loaded.contributions) == summary["contributions"]
 
+    def test_amount_below_the_smallest_normal_float(self, tmp_path, capsys):
+        """A log valuation beside a subnormal amount: the best response is the corner 0."""
+        round_file = {
+            "seed": 1, "duration_days": 2,
+            "categories": [{"name": "main", "pool": 10.0, "projects": ["p"]}],
+            "agents": [
+                {"id": "f", "kind": "honest", "budget": 1.0, "fixed_amount": 1e-320, "projects": ["p"]},
+                {"id": "v", "kind": "honest", "budget": 1.0,
+                 "valuations": [{"project": "p", "family": "log", "scale": 0.001}]},
+            ],
+        }
+        config = write_round(tmp_path, json.dumps(round_file))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["contributions"] == 1
+
+    def test_project_sum_past_the_largest_float_is_domain_error(self, tmp_path, capsys):
+        round_file = {
+            "seed": 1, "duration_days": 1,
+            "categories": [{"name": "main", "pool": 10.0, "projects": ["p"]}],
+            "agents": [
+                {"id": f, "kind": "honest", "budget": 1e308, "fixed_amount": 1e308, "projects": ["p"]}
+                for f in ("f1", "f2")
+            ],
+        }
+        config = write_round(tmp_path, json.dumps(round_file))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: contributions to project 'p' sum past the largest float\n"
+
     def test_seed_override_changes_run_deterministically(self, tmp_path, capsys):
         config = tmp_path / "round.json"
         config.write_text(json.dumps(SIM_CONFIG), encoding="utf-8")

@@ -65,6 +65,18 @@ class TestSolveBestContribution:
         assert solve_best_contribution(log_val("a", "p", 0.5), 1.0, 0.0, 0.0) == 0.0
         assert solve_best_contribution(log_val("a", "p", 3.0), 1.0, 0.0, 0.0) == pytest.approx(2.0)
 
+    def test_corner_below_the_smallest_float(self):
+        # f < 1 at every positive float: the bracket shrinks to (0, 5e-324),
+        # whose midpoint is 0, so the corner is returned without evaluating there
+        valuation = log_val("a", "p", 0.001)
+        assert solve_best_contribution(valuation, 637.0, math.sqrt(1e-312), 1e-312) == 0.0
+        assert foc_lhs(valuation, 637.0, math.sqrt(1e-312), 1e-312, 5e-324) < 1.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_corner_when_the_funding_overflows(self, family):
+        # (2e154 + sqrt(c))**2 is inf for every c, so V'(F) and the left side are 0
+        assert solve_best_contribution(Valuation("a", "p", family, 2.0), 1.0, 2e154, 1e308) == 0.0
+
     def test_root_satisfies_first_order_condition(self):
         rng = random.Random(3)
         for _ in range(200):

@@ -210,6 +210,25 @@ class TestBudgets:
         with pytest.raises(BudgetBreachError):
             run_round(one_category_config(), [agent])
 
+    def test_spent_agent_is_not_solved(self, monkeypatch):
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return solve_best_contribution(*args)
+
+        monkeypatch.setattr("qfround.roundsim.solve_best_contribution", counted)
+        agents = [fixed("f1", 4.0, ["p1"]), fixed("f2", 1.0, ["p1"]), honest("a1", {"p1": 9.0}, budget=1e-13)]
+        trajectory = run_round(one_category_config(days=3), agents)
+        assert solves == []
+        assert {row.contributor_id for row in trajectory.panel} == {"f1", "f2"}
+
+    def test_spent_agent_still_rejects_an_infinite_k(self):
+        # (sqrt(8e307) + sqrt(8e307))**2 overflows, so from day 1 the observed k is inf
+        agents = [fixed("f1", 8e307, ["p2"]), fixed("f2", 8e307, ["p2"]), honest("a1", {"p2": 9.0}, budget=1e-13)]
+        with pytest.raises(DomainError, match="k must be positive, got inf"):
+            run_round(one_category_config(days=2), agents)
+
     def test_honest_agent_never_exceeds_budget(self):
         agents = [honest("a1", {"p1": 9.0, "p2": 9.0}, budget=1.5)]
         trajectory = run_round(one_category_config(days=8, seed=3), agents)
