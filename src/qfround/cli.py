@@ -83,17 +83,15 @@ def _parse_ring_sizes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad ring sizes {text!r}: need comma-separated integers") from None
 
 
-def _k_grid(args) -> list[float]:
-    """``--steps`` evenly spaced k from ``--k-min`` (collusion: from 1) to ``--k-max``."""
-    k_min = getattr(args, "k_min", None)
+def _k_grid(args, k_min: float, k_min_name: str) -> list[float]:
+    """``--steps`` evenly spaced k from ``k_min`` to ``--k-max``."""
     for flag, value in (("--k-min", k_min), ("--k-max", args.k_max)):
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value!r}")
-    low, low_name = (1.0, "1") if k_min is None else (k_min, "k-min")
-    if args.steps < 2 or args.k_max <= low:
-        raise DomainError(f"need at least 2 steps and k-max > {low_name}")
-    step = (args.k_max - low) / (args.steps - 1)
-    return [low + i * step for i in range(args.steps)]
+    if args.steps < 2 or args.k_max <= k_min:
+        raise DomainError(f"need at least 2 steps and k-max > {k_min_name}")
+    step = (args.k_max - k_min) / (args.steps - 1)
+    return [k_min + i * step for i in range(args.steps)]
 
 
 def _write_table(cls, rows, path: str | None) -> None:
@@ -104,13 +102,14 @@ def _write_table(cls, rows, path: str | None) -> None:
 
 
 def _cmd_sweep_k(args) -> int:
-    _write_table(efficiency.SweepPoint, efficiency.k_sweep(args.profiles, _k_grid(args)), args.out)
+    points = efficiency.k_sweep(args.profiles, _k_grid(args, args.k_min, "k-min"))
+    _write_table(efficiency.SweepPoint, points, args.out)
     return 0
 
 
 def _cmd_collusion(args) -> int:
     if args.sweep:
-        rows = strategy.threshold_sweep(args.ring_sizes, _k_grid(args))
+        rows = strategy.threshold_sweep(args.ring_sizes, _k_grid(args, 1.0, "1"))
     else:
         rows = [strategy.collusion_thresholds(args.n, args.k)]
     _write_table(strategy.CollusionThresholds, rows, args.out)

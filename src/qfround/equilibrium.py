@@ -146,7 +146,7 @@ def solve_best_contribution(
             return 0.5 * (lo + hi)
         # d ln f / d ln c, using dF/dc = bracket.
         slope = c * bracket * valuation.marginal_decay(funding) + 0.5 * (bracket - 1.0) / bracket
-        step = max(-2.0, min(2.0, math.log(lhs) / slope)) if lhs > 0.0 else -2.0  # 0 when F overflows
+        step = max(-2.0, min(2.0, math.log(lhs) / slope)) if lhs > 0.0 else -2.0  # lhs is 0 once F is inf
         after = c * math.exp(step)
         if abs(after - c) <= 1e-13 * c:
             return after
