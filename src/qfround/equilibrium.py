@@ -122,9 +122,8 @@ def solve_best_contribution(
     it is not positive): every step is clipped to +-2 and falls back to the
     midpoint of the sign bracket found so far when it would leave it.  It
     stops once a step or the bracket is below 1e-13 relative, so even tiny
-    interior roots satisfy their first-order condition to well under 1e-6,
-    or once no float lies strictly inside the bracket: it then returns the
-    bracket's low end, which is the corner 0 when f > 1 was never seen.
+    interior roots satisfy their first-order condition to well under 1e-6;
+    once no float lies inside the bracket it returns the low end (0 if no f > 1 was seen).
     """
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
@@ -150,9 +149,12 @@ def solve_best_contribution(
         after = c * math.exp(step)
         if abs(after - c) <= 1e-13 * c:
             return after
-        c = after if lo < after < hi else 0.5 * (lo + hi)
-        if hi < math.inf and not lo < c < hi:
-            return lo
+        if lo < after < hi:
+            c = after
+        else:
+            c = 0.5 * (lo + hi)
+            if hi < math.inf and not lo < c < hi:  # no float lies strictly inside the bracket
+                return lo
     raise DomainError("best-response root search did not converge")  # pragma: no cover
 
 
