@@ -33,7 +33,7 @@ def _load_contributions(path) -> ledger.LoadResult:
 
 def _ledgers_from_file(path) -> list[ProjectLedger]:
     loaded = _load_contributions(path)
-    return loaded.columns.ledgers(loaded.project_categories)
+    return loaded.contributions.ledgers(loaded.project_categories)
 
 
 def _write_or_stdout(text: str, path: str | None) -> None:
@@ -167,7 +167,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_reciprocal(args) -> int:
     loaded = _load_contributions(args.contributions)
     roster = ledger.load_roster(args.teams)
-    graph = ledger.build_graph(loaded.columns, roster, loaded.project_categories)
+    graph = ledger.build_graph(loaded.contributions, roster, loaded.project_categories)
     report = ledger.reciprocity_stats(graph, weighted=args.weighted)
     cross = ledger.cross_category_stats(graph)
     out_dir = Path(args.out_dir)
@@ -182,21 +182,16 @@ def _cmd_reciprocal(args) -> int:
         print("warning: single-category graph, cross shares are trivially 0", file=sys.stderr)
 
     def fit_dict(fit):
-        return None if fit is None else {"slope": fit.slope, "intercept": fit.intercept, "n": fit.n_points}
+        return None if fit is None else field_dict(fit)
 
-    print(
-        json.dumps(
-            {
-                "weighted": report.weighted,
-                "slope": fit_dict(report.slope),
-                "cross_slope_cross_denominator": fit_dict(report.cross_slope_cross_denominator),
-                "cross_slope_total_denominator": fit_dict(report.cross_slope_total_denominator),
-                "self_support_projects": len(graph.self_support),
-                "outputs": {"report": str(report_path), "cross_category": str(cross_path)},
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps({
+        "weighted": report.weighted,
+        "slope": fit_dict(report.slope),
+        "cross_slope_cross_denominator": fit_dict(report.cross_slope_cross_denominator),
+        "cross_slope_total_denominator": fit_dict(report.cross_slope_total_denominator),
+        "self_support_projects": len(graph.self_support),
+        "outputs": {"report": str(report_path), "cross_category": str(cross_path)},
+    }, indent=2))
     return 0
 
 

@@ -56,11 +56,13 @@ def check_record(amount, day) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Contribution:
-    """One (contributor, project, amount, day) record.
+    """One (contributor, project, amount, day) record, as ``group_ledgers``
+    and ``ProjectLedger.build`` take it.
 
     Amounts are strictly positive finite decimals (currency units); zero
     and negative amounts are rejected at construction, matching the
-    ingestion rule.  ``day`` is a nonnegative round-day index.
+    ingestion rule.  ``day`` is a nonnegative round-day index.  The loader
+    and the simulator hold their records as ``ContributionColumns``.
     """
 
     contributor_id: str
@@ -120,11 +122,11 @@ class ProjectLedger:
         category: str = "",
     ) -> "ProjectLedger":
         """Build a ledger with one synthetic contributor per amount."""
-        records = tuple(
-            Contribution(f"{project_id}-backer-{i}", project_id, float(a))
-            for i, a in enumerate(amounts)
-        )
-        return cls.build(project_id, records, category)
+        columns = ContributionColumns((project_id,))
+        for i, amount in enumerate(map(float, amounts)):
+            check_record(amount, 0)
+            columns.append(f"{project_id}-backer-{i}", project_id, amount, 0)
+        return columns.ledgers({project_id: category})[0]
 
     def contributor_amounts(self) -> dict[str, float]:
         return dict(zip(self.contributors, self.amounts))
@@ -158,14 +160,12 @@ class ContributionColumns:
         self.amounts.append(amount)
         self.days.append(day)
 
-    def records(self) -> tuple[Contribution, ...]:
-        """The records, in order, as ``Contribution`` objects."""
-        contributors = list(self.contributor_codes)
-        projects = list(self.project_codes)
-        return tuple(
-            Contribution(contributors[c], projects[p], amount, day)
-            for c, p, amount, day in zip(self.contributors, self.projects, self.amounts, self.days)
-        )
+    def __len__(self) -> int:
+        return len(self.amounts)
+
+    def __eq__(self, other) -> bool:
+        """Equal columns hold the same records in the same order, with the same codes."""
+        return vars(self) == vars(other) if isinstance(other, ContributionColumns) else NotImplemented
 
     def ledgers(self, categories: Mapping[str, str]) -> list[ProjectLedger]:
         """One ledger per project, sorted by project id, from one aggregation.

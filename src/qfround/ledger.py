@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, LedgerFormatError
-from .funding import Contribution, ContributionColumns, check_record
+from .funding import ContributionColumns, check_record
 
 __all__ = [
     "RowError",
@@ -59,14 +59,9 @@ class RowError:
 
 @dataclass(frozen=True)
 class LoadResult:
-    columns: ContributionColumns
+    contributions: ContributionColumns
     project_categories: dict[str, str]
     errors: tuple[RowError, ...]
-
-    @cached_property
-    def contributions(self) -> tuple[Contribution, ...]:
-        """The loaded records, built on first access."""
-        return self.columns.records()
 
 
 def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | None, ...]]]:
@@ -351,7 +346,7 @@ def build_graph(
 class SlopeFit:
     slope: float
     intercept: float
-    n_points: int
+    n: int
 
 
 def _ols(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit | None:

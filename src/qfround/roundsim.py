@@ -36,7 +36,7 @@ import numpy as np
 
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError, LedgerFormatError
-from .funding import Contribution, ContributionColumns, check_record, required_match
+from .funding import ContributionColumns, check_record, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_records, write_rows
 from .report import AllocationReport, build_report
 
@@ -250,7 +250,7 @@ class RoundTrajectory:
     config: RoundConfig
     k_by_day: tuple[dict[str, float | None], ...]
     m_qf_by_day: tuple[dict[str, float], ...]
-    panel: tuple[Contribution, ...]
+    panel: ContributionColumns
     event_jumps: tuple[EventJump, ...]
     final_report: AllocationReport
 
@@ -441,7 +441,7 @@ def run_round(
                     own = state.amounts[project].get(agent.agent_id, 0.0)
                     k_obs = observed_k[known[project]]
                     remaining = state.remaining(agent)
-                    if remaining <= 1e-12 and math.isfinite(k_obs):
+                    if remaining <= 1e-12:
                         continue  # the top-up is capped at remaining: nothing can be emitted
                     if state.nothing_to_add(valuation, k_obs, own):
                         continue
@@ -455,7 +455,13 @@ def run_round(
 
         m_qf = {p: state.requirement(p) for p in sorted(known)}
         for category in config.categories:
-            required[category.name] = math.fsum(m_qf[p] for p in category.projects)
+            try:
+                required[category.name] = need = math.fsum(m_qf[p] for p in category.projects)
+            except OverflowError:
+                need = math.inf
+            if _k(need, pools[category.name]) == math.inf:
+                raise DomainError(f"day {day}: category {category.name!r} requires {need!r} of pool "
+                                  f"{pools[category.name]!r}, so k is not finite")
         nightly = {name: _k(need, pools[name]) for name, need in required.items()}
         k_by_day.append(nightly)
         m_by_day.append(m_qf)
@@ -466,7 +472,7 @@ def run_round(
         config=config,
         k_by_day=tuple(k_by_day),
         m_qf_by_day=tuple(m_by_day),
-        panel=state.panel.records(),
+        panel=state.panel,
         event_jumps=tuple(jumps),
         final_report=final_report,
     )
@@ -560,18 +566,21 @@ def emit_panel(trajectory: RoundTrajectory, path) -> None:
     increased = {e.category for e in events}
     category_of = trajectory.config.project_category()
 
+    panel = trajectory.panel
+    contributors, projects = list(panel.contributor_codes), list(panel.project_codes)
+
     def rows():
-        for record in trajectory.panel:
-            category = category_of[record.project_id]
+        for c, p, amount, day in zip(panel.contributors, panel.projects, panel.amounts, panel.days):
+            category = category_of[projects[p]]
             yield (
-                record.day,
+                day,
                 category,
-                record.project_id,
-                record.contributor_id,
-                record.amount,
-                math.sqrt(record.amount),
-                trajectory.k_by_day[record.day][category],
-                1 if first_event_day is not None and record.day >= first_event_day else 0,
+                projects[p],
+                contributors[c],
+                amount,
+                math.sqrt(amount),
+                trajectory.k_by_day[day][category],
+                1 if first_event_day is not None and day >= first_event_day else 0,
                 1 if category in increased else 0,
             )
 

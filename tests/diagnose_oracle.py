@@ -19,7 +19,7 @@ def diagnose(contributions, pools) -> tuple[int, str | None, str]:
     try:
         loaded = ledger.load_contributions(contributions)
         stderr = "".join(f"{contributions}:{e.line}: {e.message}\n" for e in loaded.errors)
-        ledgers = loaded.columns.ledgers(loaded.project_categories)
+        ledgers = loaded.contributions.ledgers(loaded.project_categories)
         report = build_report(ledgers, ledger.load_pools(pools), strict=True)
         k_of = {block.category: block.k for block in report.categories}
         lambda_reports = [

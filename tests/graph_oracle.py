@@ -3,8 +3,8 @@
 The graph is three dicts walked with Python sets: each record is added to
 the edge of every team its contributor belongs to, in record order, and
 each node's partners are found by looking up the reverse edge.  The
-``reciprocal`` command is assembled the same way, from
-``LoadResult.contributions``.  Tests compare the library and the command
+``reciprocal`` command is assembled the same way, from the loaded
+records.  Tests compare the library and the command
 against it.
 """
 
@@ -16,6 +16,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from io import StringIO
 from pathlib import Path
+
+from synthgraph import records_of
 
 from qfround import ledger
 from qfround.errors import DomainError
@@ -149,7 +151,7 @@ def cross_category_stats(graph: ContributionGraph) -> CrossCategoryReport:
 
 
 def _fit_dict(fit):
-    return None if fit is None else {"slope": fit.slope, "intercept": fit.intercept, "n": fit.n_points}
+    return None if fit is None else {"slope": fit.slope, "intercept": fit.intercept, "n": fit.n}
 
 
 def _reciprocal(contributions, teams, out_dir: Path, weighted: bool) -> int:
@@ -157,7 +159,7 @@ def _reciprocal(contributions, teams, out_dir: Path, weighted: bool) -> int:
     for error in loaded.errors:
         print(f"{contributions}:{error.line}: {error.message}", file=sys.stderr)
     roster = ledger.load_roster(teams)
-    graph = build_graph(loaded.contributions, roster, loaded.project_categories)
+    graph = build_graph(records_of(loaded.contributions), roster, loaded.project_categories)
     report = reciprocity_stats(graph, weighted=weighted)
     cross = cross_category_stats(graph)
     out_dir.mkdir(parents=True, exist_ok=True)

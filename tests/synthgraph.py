@@ -1,8 +1,9 @@
-"""Synthetic reciprocal-backing generators shared by ledger and acceptance tests."""
+"""Synthetic reciprocal-backing generators shared by ledger and acceptance tests,
+and records to and from ``ContributionColumns``."""
 
 import random
 
-from qfround.funding import ContributionColumns
+from qfround.funding import Contribution, ContributionColumns
 from qfround.ledger import TeamRoster
 
 
@@ -12,6 +13,15 @@ def columns_of(records):
     for contributor, project, amount in records:
         columns.append(contributor, project, amount, 0)
     return columns
+
+
+def records_of(columns):
+    """The records of ``columns``, in order, as ``Contribution`` objects."""
+    contributors, projects = list(columns.contributor_codes), list(columns.project_codes)
+    return tuple(
+        Contribution(contributors[c], projects[p], amount, day)
+        for c, p, amount, day in zip(columns.contributors, columns.projects, columns.amounts, columns.days)
+    )
 
 
 def generate_backing(

@@ -343,7 +343,7 @@ def _mean_honest_emission(pool, seed):
         seed=seed,
     )
     trajectory = run_round(config, agents)
-    return math.fsum(row.amount for row in trajectory.panel) / len(agents)
+    return math.fsum(trajectory.panel.amounts) / len(agents)
 
 
 def test_criterion_09_simulator():

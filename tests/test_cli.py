@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthgraph import records_of
+
 from qfround.cli import main
 from qfround.funding import Contribution
 from qfround.ledger import load_contributions
@@ -648,7 +650,7 @@ class TestLoaderReasons:
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(": ", 1)[0] for line in lines] == [f"{contributions}:{n}" for n in (6, 9)]
         assert "'zz'" in lines[0] and "nan" in lines[1]
-        assert [r.contributor_id for r in load_contributions(contributions).contributions][-1] == "carol\nsmith"
+        assert [r.contributor_id for r in records_of(load_contributions(contributions).contributions)][-1] == "carol\nsmith"
 
 
 def write_round(tmp_path, text: str):

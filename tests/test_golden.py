@@ -41,6 +41,16 @@ def assert_golden(path: Path, name: str) -> None:
 
 
 @pytest.fixture
+def no_records(monkeypatch):
+    """Commands hold records as columns: building a ``Contribution`` fails the test."""
+
+    def refuse(record):
+        raise AssertionError(f"a command built {record!r}")
+
+    monkeypatch.setattr(Contribution, "__post_init__", refuse)
+
+
+@pytest.fixture
 def fixture_round(tmp_path):
     contributions = tmp_path / "contributions.csv"
     contributions.write_text(CONTRIBUTIONS, encoding="utf-8")
@@ -49,6 +59,7 @@ def fixture_round(tmp_path):
     return contributions, pools
 
 
+@pytest.mark.usefixtures("no_records")
 @pytest.mark.parametrize("cap", [False, True])
 def test_allocate_bytes(fixture_round, tmp_path, capsys, cap):
     contributions, pools = fixture_round
@@ -61,6 +72,7 @@ def test_allocate_bytes(fixture_round, tmp_path, capsys, cap):
     assert_golden(tmp_path / "out.csv", f"allocate{suffix}.csv")
 
 
+@pytest.mark.usefixtures("no_records")
 def test_allocate_generous_pool_bytes(fixture_round, tmp_path, capsys):
     contributions, _ = fixture_round
     pools = tmp_path / "generous.csv"
@@ -74,6 +86,7 @@ def test_allocate_generous_pool_bytes(fixture_round, tmp_path, capsys):
         assert_golden(tmp_path / "out.csv", f"allocate_generous{suffix}.csv")
 
 
+@pytest.mark.usefixtures("no_records")
 def test_diagnose_bytes(fixture_round, tmp_path, capsys):
     contributions, pools = fixture_round
     out = tmp_path / "diagnose.json"
@@ -86,6 +99,7 @@ def assert_stdout_golden(capsys, name: str) -> None:
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes(), f"stdout differs from golden/{name}"
 
 
+@pytest.mark.usefixtures("no_records")
 @pytest.mark.parametrize("weighted", [False, True])
 def test_reciprocal_bytes(tmp_path, capsys, monkeypatch, weighted):
     """The stdout summary names the outputs by the relative --out-dir."""
@@ -112,6 +126,7 @@ def checked_top_ups(monkeypatch):
     assert SHADOW_CALLS[True] > settled
 
 
+@pytest.mark.usefixtures("no_records")
 def test_simulate_sample_round_bytes(tmp_path, capsys, monkeypatch, checked_top_ups):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", "round"]) == 0
@@ -121,6 +136,7 @@ def test_simulate_sample_round_bytes(tmp_path, capsys, monkeypatch, checked_top_
         assert_golden(out_dir / name, f"sample_round/{name}")
 
 
+@pytest.mark.usefixtures("no_records")
 def test_simulate_topup_round_bytes(tmp_path, capsys, monkeypatch, checked_top_ups):
     """80 agents over 12 days at activity about 0.5: sqrt and log valuations,
     repeated top-ups of one (agent, project) pair, binding budgets, a pool
@@ -152,11 +168,13 @@ def test_write_contributions_bytes(tmp_path):
     assert_golden(path, "contributions.csv")
 
 
+@pytest.mark.usefixtures("no_records")
 def test_sweep_k_default_stdout_bytes(capsys):
     assert main(["sweep-k"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k.txt").read_bytes()
 
 
+@pytest.mark.usefixtures("no_records")
 def test_sweep_k_profiles_stdout_bytes(capsys):
     """Three, two and unequal-share profiles over k from 0.5 (a generous pool) to 12."""
     argv = ["sweep-k", "--profiles", "1:2,1:1:3,0.5:7", "--k-min", "0.5", "--k-max", "12",
@@ -165,16 +183,19 @@ def test_sweep_k_profiles_stdout_bytes(capsys):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k_profiles.txt").read_bytes()
 
 
+@pytest.mark.usefixtures("no_records")
 def test_collusion_sweep_stdout_bytes(capsys):
     assert main(["collusion", "--sweep"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "collusion_sweep.txt").read_bytes()
 
 
+@pytest.mark.usefixtures("no_records")
 def test_collusion_one_row_stdout_bytes(capsys):
     assert main(["collusion", "--n", "10", "--k", "2.5"]) == 0
     assert_stdout_golden(capsys, "collusion_n10_k2.5.txt")
 
 
+@pytest.mark.usefixtures("no_records")
 @pytest.mark.parametrize("name, extra", [
     ("equilibrium.json", []),
     ("equilibrium_budgets_planner.json",

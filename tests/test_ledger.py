@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dictreader_loader
 import graph_oracle
-from synthgraph import columns_of, community_percentages_fixture, generate_backing
+from synthgraph import columns_of, community_percentages_fixture, generate_backing, records_of
 
 from qfround.cli import main
 from qfround.errors import DomainError, LedgerFormatError
@@ -49,7 +49,7 @@ class TestLoadContributions:
         path.write_text(GOLDEN, encoding="utf-8")
         loaded = load_contributions(path)
         assert loaded.errors == ()
-        assert loaded.contributions == (
+        assert records_of(loaded.contributions) == (
             Contribution("alice", "p1", 4.0, 0),
             Contribution("bob", "p1", 1.0, 1),
             Contribution("carol", "p2", 2.5, 2),
@@ -60,7 +60,7 @@ class TestLoadContributions:
         path = tmp_path / "contributions.csv"
         path.write_text("day,category,project_id,contributor_id,amount\n", encoding="utf-8")
         loaded = load_contributions(path)
-        assert loaded.contributions == ()
+        assert records_of(loaded.contributions) == ()
         assert loaded.errors == ()
 
     def test_missing_header(self, tmp_path):
@@ -95,7 +95,7 @@ class TestLoadContributions:
             encoding="utf-8",
         )
         loaded = load_contributions(path)
-        assert loaded.contributions[0].amount == 2.0
+        assert loaded.contributions.amounts[0] == 2.0
 
     def test_round_trip_is_identity(self, tmp_path):
         records = (
@@ -107,7 +107,7 @@ class TestLoadContributions:
         path = tmp_path / "out.csv"
         write_contributions(path, records, categories)
         loaded = load_contributions(path)
-        assert loaded.contributions == records
+        assert records_of(loaded.contributions) == records
         assert loaded.project_categories == categories
         assert loaded.errors == ()
 
@@ -136,7 +136,7 @@ class TestLoadContributions:
         write_contributions(path, records, categories)
         loaded = load_contributions(path)
         assert loaded.errors == ()
-        assert loaded.contributions == records
+        assert records_of(loaded.contributions) == records
 
 
 #: Field texts covering every reason a row is rejected: a "d"-prefixed or
@@ -192,7 +192,7 @@ class TestLoaderOracle:
         records, categories, errors = dictreader_loader.load_contributions(path)
         loaded = load_contributions(path)
         assert loaded.errors == errors
-        assert loaded.contributions == records
+        assert records_of(loaded.contributions) == records
         assert loaded.project_categories == categories
 
 

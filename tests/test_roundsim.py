@@ -12,6 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from synthgraph import records_of
+
 from qfround.cli import main
 from qfround.equilibrium import FAMILIES, Valuation, foc_lhs, solve_best_contribution
 from qfround.errors import BudgetBreachError, DomainError
@@ -131,8 +133,8 @@ class TestDeterminism:
         agents = [fixed("f1", 1.0, ["p1"], activity=0.5)]
         a = run_round(one_category_config(seed=1), agents)
         b = run_round(one_category_config(seed=2), agents)
-        days_a = [row.day for row in a.panel]
-        days_b = [row.day for row in b.panel]
+        days_a = a.panel.days
+        days_b = b.panel.days
         assert days_a != days_b or a.panel == b.panel
 
 
@@ -141,7 +143,7 @@ class TestTrajectoryShape:
         trajectory = run_round(one_category_config(), [])
         assert len(trajectory.k_by_day) == 6
         assert all(day["main"] is None for day in trajectory.k_by_day)
-        assert trajectory.panel == ()
+        assert records_of(trajectory.panel) == ()
         block = trajectory.final_report.categories[0]
         assert block.degenerate
         assert block.k is None
@@ -154,7 +156,7 @@ class TestTrajectoryShape:
         arrived = 0
         seen = set()
         rows_by_day = {}
-        for row in trajectory.panel:
+        for row in records_of(trajectory.panel):
             rows_by_day.setdefault(row.day, []).append(row)
         for day in range(config.duration_days):
             for row in rows_by_day.get(day, []):
@@ -221,19 +223,38 @@ class TestBudgets:
         agents = [fixed("f1", 4.0, ["p1"]), fixed("f2", 1.0, ["p1"]), honest("a1", {"p1": 9.0}, budget=1e-13)]
         trajectory = run_round(one_category_config(days=3), agents)
         assert solves == []
-        assert {row.contributor_id for row in trajectory.panel} == {"f1", "f2"}
+        assert {row.contributor_id for row in records_of(trajectory.panel)} == {"f1", "f2"}
 
     def test_spent_agent_still_rejects_an_infinite_k(self):
-        # (sqrt(8e307) + sqrt(8e307))**2 overflows, so from day 1 the observed k is inf
+        # (sqrt(8e307) + sqrt(8e307))**2 overflows, so day 0's requirement and k are inf
         agents = [fixed("f1", 8e307, ["p2"]), fixed("f2", 8e307, ["p2"]), honest("a1", {"p2": 9.0}, budget=1e-13)]
-        with pytest.raises(DomainError, match="k must be positive, got inf"):
+        with pytest.raises(DomainError, match=r"day 0: category 'main' requires inf of pool 10\.0, so k is not finite"):
             run_round(one_category_config(days=2), agents)
 
     def test_honest_agent_never_exceeds_budget(self):
         agents = [honest("a1", {"p1": 9.0, "p2": 9.0}, budget=1.5)]
         trajectory = run_round(one_category_config(days=8, seed=3), agents)
-        spent = math.fsum(row.amount for row in trajectory.panel)
+        spent = math.fsum(trajectory.panel.amounts)
         assert spent <= 1.5 + 1e-9
+
+
+class TestNonFiniteK:
+    @pytest.mark.parametrize("pool, agents, need", [
+        # (sqrt(8e307) + sqrt(8e307))**2 overflows, with and without an agent that reads k
+        (10.0, [fixed("f1", 8e307, ["p2"]), fixed("f2", 8e307, ["p2"]), honest("a1", {"p2": 9.0})], "inf"),
+        (10.0, [fixed("f1", 8e307, ["p2"]), fixed("f2", 8e307, ["p2"])], "inf"),
+        # a finite requirement divided by the pool overflows
+        (1e-10, [fixed("f1", 1e300, ["p2"]), fixed("f2", 1e300, ["p2"])], "1.9999999999999995e+300"),
+        # three finite requirements of about 8.8e307 sum past the largest float
+        (10.0, [fixed(f"{p}-{i}", 4.4e307, [p]) for p in ("p1", "p2", "p3") for i in range(2)], "inf"),
+    ], ids=["best_responder", "fixed_only", "tiny_pool", "category_sum"])
+    def test_exits_1_naming_the_night(self, pool, agents, need, tmp_path, capsys):
+        config = one_category_config(projects=("p1", "p2", "p3"), pool=pool, days=3)
+        path = tmp_path / "round.json"
+        path.write_text(json.dumps(round_file(config, agents, omit_defaults=True)), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        message = f"day 0: category 'main' requires {need} of pool {pool!r}, so k is not finite"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestHonestBehavior:
@@ -241,7 +262,7 @@ class TestHonestBehavior:
         # One agent alone on a project: the target is v^2/4 regardless of k.
         agents = [honest("a1", {"p1": 4.0})]
         trajectory = run_round(one_category_config(projects=("p1",), days=5, seed=1), agents)
-        total = math.fsum(row.amount for row in trajectory.panel)
+        total = math.fsum(trajectory.panel.amounts)
         assert total == pytest.approx(4.0, rel=1e-9)
 
     def test_smaller_pool_never_raises_emissions(self):
@@ -253,7 +274,7 @@ class TestHonestBehavior:
         totals = []
         for pool in (8.0, 2.0, 0.5):
             trajectory = run_round(one_category_config(pool=pool, days=8, seed=11), agents)
-            totals.append(math.fsum(row.amount for row in trajectory.panel))
+            totals.append(math.fsum(trajectory.panel.amounts))
         assert totals[0] >= totals[1] - 1e-9
         assert totals[1] >= totals[2] - 1e-9
 
@@ -266,7 +287,7 @@ class TestColluders:
         ]
         trajectory = run_round(one_category_config(days=3, seed=1), agents)
         amounts = {}
-        for row in trajectory.panel:
+        for row in records_of(trajectory.panel):
             amounts[(row.contributor_id, row.project_id)] = (
                 amounts.get((row.contributor_id, row.project_id), 0.0) + row.amount
             )
@@ -284,7 +305,7 @@ class TestColluders:
 
         def totals(trajectory):
             out = {}
-            for row in trajectory.panel:
+            for row in records_of(trajectory.panel):
                 out[(row.contributor_id, row.project_id)] = (
                     out.get((row.contributor_id, row.project_id), 0.0) + row.amount
                 )
@@ -358,8 +379,8 @@ class TestOutputs:
         loaded = load_contributions(path)
         assert not loaded.errors
         assert len(loaded.contributions) == len(trajectory.panel)
-        total_written = math.fsum(r.amount for r in trajectory.panel)
-        total_read = math.fsum(r.amount for r in loaded.contributions)
+        total_written = math.fsum(trajectory.panel.amounts)
+        total_read = math.fsum(loaded.contributions.amounts)
         assert total_read == total_written
 
     def test_empty_trajectory_header_only(self, tmp_path):
@@ -660,7 +681,7 @@ class TestGeneratedRounds:
         config, agents = specs
         trajectory = run_round(config, agents)
         spent = {}
-        for record in trajectory.panel:
+        for record in records_of(trajectory.panel):
             spent.setdefault(record.contributor_id, []).append(record.amount)
         for agent in agents:
             assert math.fsum(spent.get(agent.agent_id, ())) <= agent.budget * (1.0 + 1e-9)
@@ -692,7 +713,7 @@ class TestGeneratedRounds:
         pools = {c.name: c.pool for c in config.categories}
         for event in sorted(config.pool_events, key=lambda e: e.day):
             pools[event.category] = event.new_pool
-        replayed = build_report(loaded.columns.ledgers(loaded.project_categories), pools, strict=False)
+        replayed = build_report(loaded.contributions.ledgers(loaded.project_categories), pools, strict=False)
         final = json.loads((directory / "out" / "allocation_report.json").read_text())
         by_project = {p["project_id"]: p for block in final["categories"] for p in block["projects"]}
         replayed_ids = set()
