@@ -189,7 +189,7 @@ def _cmd_reciprocal(args) -> int:
         "slope": fit_dict(report.slope),
         "cross_slope_cross_denominator": fit_dict(report.cross_slope_cross_denominator),
         "cross_slope_total_denominator": fit_dict(report.cross_slope_total_denominator),
-        "self_support_projects": len(graph.self_support),
+        "self_support_projects": int((graph.self_counts > 0).sum()),
         "outputs": {"report": str(report_path), "cross_category": str(cross_path)},
     }, indent=2))
     return 0

@@ -28,6 +28,7 @@ __all__ = [
     "LambdaReport",
     "DispersionStats",
     "SweepPoint",
+    "check_k",
     "lambda_p",
     "lambda_from_amounts",
     "lambda_lower_bound",
@@ -38,14 +39,20 @@ __all__ = [
 ]
 
 
-def _check_k(k: float) -> None:
-    if not math.isfinite(k) or k <= 0:
-        raise DomainError(f"k must be positive, got {k!r}")
+def check_k(k: float, where: str = "") -> float:
+    """``k`` if lambda_p can be evaluated at it, else DomainError; ``where`` leads its message.
+
+    From 2**-52 up, 1/k + 1 is exact, so a lone contributor's term 1/(k*a) + 1 - 1/k
+    is 1 and every term's denominator is positive.
+    """
+    if not 2.0**-52 <= k < math.inf:
+        raise DomainError(f"{where}k must be in [2**-52, inf) for lambda_p, got {k!r}")
+    return k
 
 
 def lambda_from_amounts(amounts: Iterable[float], k: float) -> float:
     """lambda_p from raw per-contributor amounts (one entry per contributor)."""
-    _check_k(k)
+    check_k(k)
     return math.fsum(1.0 / (1.0 / (k * a) + 1.0 - 1.0 / k) for a in sqrt_shares(amounts))
 
 
@@ -60,7 +67,7 @@ def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
     Follows from the Cauchy-Schwarz (Engel form) inequality applied to the
     lambda_p sum; tight exactly when all shares are equal.
     """
-    _check_k(k)
+    check_k(k)
     alphas = sqrt_shares(ledger.amounts)
     n = len(alphas)
     denom = math.fsum(1.0 / a for a in alphas) / k + n * (1.0 - 1.0 / k)

@@ -124,37 +124,46 @@ def solve_best_contribution(
     stops once a step or the bracket is below 1e-13 relative, so even tiny
     interior roots satisfy their first-order condition to well under 1e-6;
     once no float lies inside the bracket it returns the low end (0 if no f > 1 was seen).
+    A k so small that k * sqrt(c) or the funding rounds to 0, or a lone best
+    contribution past the largest float, raises DomainError.
     """
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
-    if s_others <= 0.0:
-        # Alone on the project the funding formula collapses to F = c.
-        if valuation.family == "sqrt":
-            return (valuation.scale / 2.0) ** 2
-        return max(0.0, valuation.scale - 1.0)
-    c = start if start > 0.0 else 1.0
-    lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
-    # Steps of 2 cross all positive floats (about 1455 in ln c) in under 730.
-    for _ in range(1000):
-        lhs, funding, bracket = _foc(valuation, k, s_others, c_others, c)
-        if lhs > 1.0:
-            lo = c
-        else:
-            hi = c
-        if hi - lo <= 1e-13 * lo:  # both sides seen and close
-            return 0.5 * (lo + hi)
-        # d ln f / d ln c, using dF/dc = bracket.
-        slope = c * bracket * valuation.marginal_decay(funding) + 0.5 * (bracket - 1.0) / bracket
-        step = max(-2.0, min(2.0, math.log(lhs) / slope)) if lhs > 0.0 else -2.0  # lhs is 0 once F is inf
-        after = c * math.exp(step)
-        if abs(after - c) <= 1e-13 * c:
-            return after
-        if lo < after < hi:
-            c = after
-        else:
-            c = 0.5 * (lo + hi)
-            if hi < math.inf and not lo < c < hi:  # no float lies strictly inside the bracket
-                return lo
+    try:
+        if s_others <= 0.0:
+            # Alone on the project the funding formula collapses to F = c.
+            if valuation.family == "sqrt":
+                return (valuation.scale / 2.0) ** 2
+            return max(0.0, valuation.scale - 1.0)
+        c = start if start > 0.0 else 1.0
+        lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
+        # Steps of 2 cross all positive floats (about 1455 in ln c) in under 730.
+        for _ in range(1000):
+            lhs, funding, bracket = _foc(valuation, k, s_others, c_others, c)
+            if lhs > 1.0:
+                lo = c
+            else:
+                hi = c
+            if hi - lo <= 1e-13 * lo:  # both sides seen and close
+                return 0.5 * (lo + hi)
+            # d ln f / d ln c, using dF/dc = bracket.
+            slope = c * bracket * valuation.marginal_decay(funding) + 0.5 * (bracket - 1.0) / bracket
+            try:  # lhs is 0 once F is inf
+                step = max(-2.0, min(2.0, math.log(lhs) / slope)) if lhs > 0.0 else -2.0
+            except ZeroDivisionError:  # a huge k leaves the bracket 1 and the decay 0
+                step = 2.0 if lhs > 1.0 else -2.0  # toward the root
+            after = c * math.exp(step)
+            if abs(after - c) <= 1e-13 * c:
+                return after
+            if lo < after < hi:
+                c = after
+            else:
+                c = 0.5 * (lo + hi)
+                if hi < math.inf and not lo < c < hi:  # no float lies strictly inside the bracket
+                    return lo
+    except (ZeroDivisionError, OverflowError):  # k * sqrt(c) or F rounds to 0, or c passes the largest float
+        key = (valuation.contributor_id, valuation.project_id)
+        raise DomainError(f"best response for {key!r} at k = {k!r} leaves the float range") from None
     raise DomainError("best-response root search did not converge")  # pragma: no cover
 
 
@@ -281,6 +290,8 @@ def best_response(
         marginals[project] = math.fsum(v.marginal(funding) for v in vals)
     total_value = math.fsum(v.value(funds[v.project_id]) for vals in grouped.values() for v in vals)
     spent = math.fsum(current.values())
+    if not math.isfinite(total_value - spent):
+        raise DomainError(f"best response at k = {k!r}: funds or welfare pass the largest float")
     return EquilibriumResult(
         contributions=dict(current),
         funds=funds,
@@ -335,7 +346,8 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
     A project enters only through the ``fsum`` of its sqrt and of its log scales,
     taken once; bisection on the common marginal inverts each project's marginal
     until total funding matches the pool, and funds are rescaled exactly at the end.
-    ``funds`` lists projects in sorted order.
+    A total past the largest float counts as above the pool; funds or welfare
+    that pass it raise DomainError.  ``funds`` lists projects in sorted order.
     """
     if not valuations:
         raise DomainError("at least one valuation is required")
@@ -345,8 +357,14 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
     projects = sorted(grouped)
     scales = [[math.fsum(v.scale for v in grouped[p] if v.family == f) for f in FAMILIES] for p in projects]
 
+    def total(values) -> float:
+        try:
+            return math.fsum(values)
+        except OverflowError:  # a term or the sum passes the largest float, so any pool
+            return math.inf
+
     def total_funding(lam: float) -> float:
-        return math.fsum(_invert_marginal(a, b, lam) for a, b in scales)
+        return total(_invert_marginal(a, b, lam) for a, b in scales)
 
     lam_lo = lam_hi = 1.0
     for _ in range(400):
@@ -361,7 +379,7 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
         lam_lo /= 2.0
     else:
         raise DomainError("failed to bracket the planner multiplier from below")
-    for _ in range(500):
+    for _ in range(2000):  # enough to resolve any multiplier the brackets reach to 1e-9
         mid = 0.5 * (lam_lo + lam_hi)
         spent = total_funding(mid)
         if abs(spent - pool) <= 1e-9 * pool:
@@ -377,7 +395,9 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
     if spent > 0:
         factor = pool / spent
         funds = {p: f * factor for p, f in funds.items()}
-    total_value = math.fsum(v.value(funds[v.project_id]) for vals in grouped.values() for v in vals)
+    total_value = total(v.value(funds[v.project_id]) for vals in grouped.values() for v in vals)
+    if not math.isfinite(total_value - pool):
+        raise DomainError(f"planner funds or welfare at pool {pool!r} pass the largest float")
     return PlannerResult(funds=funds, common_marginal=lam, welfare=total_value - pool)
 
 

@@ -226,7 +226,8 @@ class ContributionGraph:
     source, then target.  ``amounts[j]`` is what the source's team members
     gave the target, summed in record order, and ``mutual[j]`` tells
     whether the reverse edge exists.  ``self_counts[i]`` counts the records
-    node i's own members sent it.
+    node i's own members sent it.  ``edges`` is the one dict view: it stays
+    while ``perfbench/layers.py`` counts a graph's edges as ``len(graph.edges)``.
     """
 
     nodes: tuple[str, ...]
@@ -238,11 +239,6 @@ class ContributionGraph:
     self_counts: np.ndarray
 
     @cached_property
-    def categories(self) -> dict[str, str]:
-        """Node -> category; its keys are the graph's nodes."""
-        return dict(zip(self.nodes, self.labels))
-
-    @cached_property
     def edges(self) -> dict[tuple[str, str], float]:
         """(A, B) -> the amount that A's team members gave B."""
         names = self.nodes.__getitem__
@@ -250,35 +246,6 @@ class ContributionGraph:
             (names(a), names(b)): amount
             for a, b, amount in zip(self.sources.tolist(), self.targets.tolist(), self.amounts.tolist())
         }
-
-    @cached_property
-    def self_support(self) -> dict[str, int]:
-        """Node -> the records its own members sent it, for nodes with any."""
-        counts = self.self_counts.tolist()
-        return {node: count for node, count in zip(self.nodes, counts) if count}
-
-    @cached_property
-    def _bounds(self) -> dict[str, tuple[int, int]]:
-        """Node -> the slice of its out-edges."""
-        bounds = np.searchsorted(self.sources, np.arange(len(self.nodes) + 1)).tolist()
-        return {node: (bounds[i], bounds[i + 1]) for i, node in enumerate(self.nodes)}
-
-    def _targets(self, project: str, mutual_only: bool) -> Iterator[str]:
-        first, last = self._bounds.get(project, (0, 0))
-        targets = self.targets[first:last]
-        if mutual_only:
-            targets = targets[self.mutual[first:last]]
-        return map(self.nodes.__getitem__, targets.tolist())
-
-    def outdegree(self, project: str) -> int:
-        first, last = self._bounds.get(project, (0, 0))
-        return last - first
-
-    def out_neighbors(self, project: str) -> frozenset[str]:
-        return frozenset(self._targets(project, False))
-
-    def reciprocal_partners(self, project: str) -> set[str]:
-        return set(self._targets(project, True))
 
 
 def build_graph(
@@ -290,7 +257,7 @@ def build_graph(
 
     Edge A->B exists when a member of A's team contributed to B (A != B);
     a member sending money to their own project is excluded and counted in
-    ``self_support`` instead.
+    ``self_counts`` instead.
 
     Each record becomes one row per team its contributor is on.  A row is
     the key ``source * n_nodes + target``; one sort groups the rows by

@@ -6,7 +6,7 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .efficiency import dispersion, lambda_p, lambda_report
+from .efficiency import check_k, dispersion, lambda_p, lambda_report
 from .errors import DomainError, NoMatchableProjectsError
 from .funding import MatchOutcome, ProjectLedger, compute_k, cqf_allocate, matching_requirement, qf_target
 from .ledger import field_dict
@@ -95,7 +95,8 @@ def build_report(
     for category, pool, members in _by_category(ledgers, pools):
         try:
             allocation = cqf_allocate(members, pool, category=category, cap_at_target=cap_at_target)
-            k, surplus, outcomes = allocation.pool_state.k, allocation.surplus, allocation.by_project()
+            k = check_k(allocation.pool_state.k, f"category {category!r}: ")
+            surplus, outcomes = allocation.surplus, allocation.by_project()
         except NoMatchableProjectsError:
             if strict:
                 raise
@@ -125,7 +126,7 @@ def diagnose(ledgers: Sequence[ProjectLedger], pools: Mapping[str, float]) -> st
     """
     reports, stats = [], []
     for category, pool, members in _by_category(ledgers, pools):
-        k = compute_k(members, pool)
+        k = check_k(compute_k(members, pool), f"category {category!r}: ")
         block = [lambda_report(l, k) for l in members if l.contributor_count]
         reports += block
         stats.append(dispersion(block, category))

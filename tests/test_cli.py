@@ -6,6 +6,8 @@ import io
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import diagnose_oracle
 import pytest
@@ -25,6 +27,10 @@ CONTRIBUTIONS = """day,category,project_id,contributor_id,amount
 """
 
 POOLS = "category,pool\nmain,1\n"
+TEAMS = "project_id,member_id\np1,bob\np2,alice\n"
+EQUILIBRIUM = Path(__file__).resolve().parent / "golden" / "equilibrium"
+#: One project valued only through sqrt, one only through log.
+SPLIT_VALUATIONS = "contributor_id,project_id,family,scale\na,p1,sqrt,2.0\nb,p2,log,3.0\n"
 
 
 @pytest.fixture
@@ -120,6 +126,18 @@ class TestAllocate:
         code = main(["allocate", "--contributions", str(contributions), "--pools", str(pools)])
         assert code == 1
         assert "no matchable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["allocate", "diagnose"])
+def test_pool_too_large_for_lambda_names_the_category(round_files, capsys, command):
+    """A pool of 1e308 against a required match of 2 makes k = 2e-308,
+    where p2's lone contributor's lambda_p term would divide by 0."""
+    contributions, pools = round_files
+    pools.write_text("category,pool\nmain,1e308\n", encoding="utf-8")
+    assert main([command, "--contributions", str(contributions), "--pools", str(pools)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: category 'main': k must be in [2**-52, inf) for lambda_p, got 2e-308\n"
+    assert captured.out == ""
 
 
 class TestDiagnose:
@@ -256,6 +274,11 @@ class TestSweepK:
         err = capsys.readouterr().err
         assert f"argument --profiles: bad ratio profile {profiles!r}: need finite positive amounts" in err
 
+    def test_k_below_lambda_floor_is_domain_error(self, capsys):
+        argv = ["sweep-k", "--profiles", "1", "--k-min", "1e-300", "--k-max", "1", "--steps", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: k must be in [2**-52, inf) for lambda_p, got 1e-300\n"
+
     @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_k_bound_is_domain_error(self, capsys, flag, value):
@@ -361,6 +384,55 @@ class TestEquilibriumCommand:
         spent = sum(sum(per.values()) for per in payload["contributions"].values())
         assert spent == pytest.approx(1.0, rel=1e-9)
         assert payload["clamped"]
+
+    def test_huge_k_is_private_provision(self, capsys):
+        """At k = 1e300 the match vanishes and the Newton slope underflows to 0:
+        each contributor funds alone what its valuation is worth to it."""
+        argv = ["equilibrium", "--valuations", str(EQUILIBRIUM / "valuations.csv"), "--k", "1e300"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["converged"] and captured.err == ""
+        assert all(math.isfinite(f) for f in payload["funds"].values())
+        # alice's sqrt scale 2 on p1 and log scale 4 on p3, carol's log scale 6 on p2
+        assert payload["funds"] == pytest.approx({"p1": 1.0, "p2": 5.0, "p3": 3.0}, rel=1e-9)
+
+    def test_planner_pool_near_the_largest_float(self, tmp_path, capsys):
+        """With a pool of 1e308 the multiplier search passes through funding
+        levels past the largest float; the split still equalizes marginals."""
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(SPLIT_VALUATIONS, encoding="utf-8")
+        argv = ["equilibrium", "--valuations", str(valuations), "--k", "2", "--planner-pool", "1e308"]
+        assert main(argv) == 0
+        planner = json.loads(capsys.readouterr().out)["planner"]
+        funds, lam = planner["funds"], planner["common_marginal"]
+        assert funds["p1"] + funds["p2"] == pytest.approx(1e308, rel=1e-9)
+        assert 2.0 / (2.0 * math.sqrt(funds["p1"])) == pytest.approx(lam, rel=1e-6)
+        assert 3.0 / (1.0 + funds["p2"]) == pytest.approx(lam, rel=1e-6)
+        assert math.isfinite(planner["welfare"])
+
+    def test_planner_pool_at_the_largest_float(self, tmp_path, capsys):
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(SPLIT_VALUATIONS, encoding="utf-8")
+        pool = repr(sys.float_info.max)
+        argv = ["equilibrium", "--valuations", str(valuations), "--k", "2", "--planner-pool", pool]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: planner funds or welfare at pool {pool} pass the largest float\n"
+        )
+
+    def test_best_contribution_past_the_largest_float(self, tmp_path, capsys):
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text("contributor_id,project_id,family,scale\na,p1,sqrt,1e308\n", encoding="utf-8")
+        assert main(["equilibrium", "--valuations", str(valuations), "--k", "2"]) == 1
+        assert capsys.readouterr().err == "error: best response for ('a', 'p1') at k = 2.0 leaves the float range\n"
+
+    @pytest.mark.parametrize("k", ["1e-200", "5e-324"])
+    def test_k_too_small_for_the_search(self, capsys, k):
+        argv = ["equilibrium", "--valuations", str(EQUILIBRIUM / "valuations.csv"), "--k", k]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: best response for (") and err.endswith(f" at k = {float(k)!r} leaves the float range\n")
 
     def test_non_convergence_warns_on_stderr(self, tmp_path, capsys):
         valuations = tmp_path / "valuations.csv"
@@ -898,6 +970,8 @@ class TestFuzz:
 
     REPLACEMENTS = (None, "", "x", "50", [], {}, ["x"], True, -1, 0, 1.5, math.nan)
     GARBLE = ("", "x", "-1", "nan", "1e400", "1.5", '"', "\x00", " ", ",")
+    #: Finite numbers that parse but overflow or underflow the arithmetic.
+    EXTREME = ("1e308", "1e300", "1e-300", "5e-324")
 
     @staticmethod
     def run(capsys, argv, text):
@@ -930,11 +1004,30 @@ class TestFuzz:
             config.write_text(text, encoding="utf-8")
             self.run(capsys, argv, text)
 
+    @staticmethod
+    def garble(rng, text, values) -> bytes:
+        """CSV ``text`` with a column dropped, one field replaced by one of
+        ``values``, or a byte that is not UTF-8 inserted."""
+        lines = [line.split(",") for line in text.splitlines()]
+        kind = rng.randrange(3)
+        if kind == 0:  # drop a column from the header, one row or every line
+            column = rng.randrange(len(lines[0]))
+            for fields in rng.choice(([lines[0]], [rng.choice(lines[1:])], lines)):
+                del fields[column]
+        elif kind == 1:  # garble one field
+            fields = rng.choice(lines)
+            fields[rng.randrange(len(fields))] = rng.choice(values)
+        data = "\n".join(",".join(fields) for fields in lines).encode() + b"\n"
+        if kind == 2:  # insert a byte that is not UTF-8
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + bytes([rng.choice((0x80, 0xC3, 0xFF))]) + data[at:]
+        return data
+
     def test_contributions_mutations(self, round_files, tmp_path, capsys):
         rng = random.Random(2020)
         _contributions, pools = round_files
         teams = tmp_path / "teams.csv"
-        teams.write_text("project_id,member_id\np1,bob\np2,alice\n", encoding="utf-8")
+        teams.write_text(TEAMS, encoding="utf-8")
         path = tmp_path / "fuzzed.csv"
         commands = (
             ["allocate", "--contributions", str(path), "--pools", str(pools)],
@@ -943,18 +1036,49 @@ class TestFuzz:
              "--out-dir", str(tmp_path / "out")],
         )
         for _ in range(200):
-            lines = [line.split(",") for line in CONTRIBUTIONS.splitlines()]
-            kind = rng.randrange(3)
-            if kind == 0:  # drop a column from the header, one row or every line
-                column = rng.randrange(len(lines[0]))
-                for fields in rng.choice(([lines[0]], [rng.choice(lines[1:])], lines)):
-                    del fields[column]
-            elif kind == 1:  # garble one field
-                fields = rng.choice(lines)
-                fields[rng.randrange(len(fields))] = rng.choice(self.GARBLE)
-            data = "\n".join(",".join(fields) for fields in lines).encode() + b"\n"
-            if kind == 2:  # insert a byte that is not UTF-8
-                at = rng.randrange(len(data) + 1)
-                data = data[:at] + bytes([rng.choice((0x80, 0xC3, 0xFF))]) + data[at:]
+            data = self.garble(rng, CONTRIBUTIONS, self.GARBLE)
             path.write_bytes(data)
             self.run(capsys, rng.choice(commands), data)
+
+    @pytest.mark.parametrize("name", ["pools", "teams", "valuations", "budgets"])
+    def test_input_file_mutations(self, round_files, tmp_path, capsys, name):
+        """Each other input file, garbled the same way, with extreme numbers too."""
+        rng = random.Random(2020)
+        contributions, _pools = round_files
+        path = tmp_path / "fuzzed.csv"
+        valuations = EQUILIBRIUM / "valuations.csv"
+        base, commands = {
+            "pools": (POOLS, [
+                ["allocate", "--contributions", str(contributions), "--pools", str(path)],
+                ["diagnose", "--contributions", str(contributions), "--pools", str(path)],
+            ]),
+            "teams": (TEAMS, [
+                ["reciprocal", "--contributions", str(contributions), "--teams", str(path),
+                 "--out-dir", str(tmp_path / "out")],
+            ]),
+            "valuations": (valuations.read_text(encoding="utf-8"), [
+                ["equilibrium", "--valuations", str(path), "--k", "2.5"],
+                ["equilibrium", "--valuations", str(path), "--k", "2.5", "--planner-pool", "12"],
+            ]),
+            "budgets": ((EQUILIBRIUM / "budgets.csv").read_text(encoding="utf-8"), [
+                ["equilibrium", "--valuations", str(valuations), "--k", "2.5", "--budgets", str(path)],
+            ]),
+        }[name]
+        for _ in range(200):
+            data = self.garble(rng, base, self.GARBLE + self.EXTREME)
+            path.write_bytes(data)
+            self.run(capsys, rng.choice(commands), data)
+
+    def test_equilibrium_flag_values(self, tmp_path, capsys):
+        """Every pairing of extreme and ordinary ``--k`` and ``--planner-pool``
+        values, over the golden valuations and over one sqrt and one log
+        project; 200 sweeps bound a run that does not converge."""
+        split = tmp_path / "split.csv"
+        split.write_text(SPLIT_VALUATIONS, encoding="utf-8")
+        values = self.EXTREME + ("2.5", "1", "0.5")
+        for valuations in (EQUILIBRIUM / "valuations.csv", split):
+            for k in values:
+                for pool in (None,) + values:
+                    argv = ["equilibrium", "--valuations", str(valuations), "--k", k, "--max-iter", "200"]
+                    argv += [] if pool is None else ["--planner-pool", pool]
+                    self.run(capsys, argv, " ".join(argv))

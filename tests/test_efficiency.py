@@ -63,6 +63,15 @@ class TestLambda:
         with pytest.raises(DomainError):
             lambda_p(ledger(1, 1), -2.0)
 
+    def test_k_floor(self):
+        """From 2**-52 up a lone contributor's term is exactly 1; below it the
+        term's 1 is lost to rounding, so such a k is rejected."""
+        assert lambda_p(ledger(3.0), 2.0**-52) == 1.0
+        assert lambda_lower_bound(ledger(3.0), 2.0**-52) == 1.0
+        for k in (2.0**-53, 2e-308, 5e-324, math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"k must be in \[2\*\*-52, inf\)"):
+                lambda_p(ledger(3.0), k)
+
     def test_empty_ledger_rejected(self):
         with pytest.raises(DomainError):
             lambda_p(ProjectLedger.build("p", ()), 2.0)

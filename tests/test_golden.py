@@ -22,19 +22,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLE_ROUND = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
 SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
 
-ROSTER_CONTRIBUTIONS = """day,category,project_id,contributor_id,amount
-0,x,B,a1,2
-0,x,C,a1,1.5
-1,y,A,b1,1
-1,x,C,b2,3
-2,y,A,c1,0.25
-2,x,B,c1,2
-3,y,D,a2,7
-3,x,B,d1,1
-3,x,A,a1,4
-"""
-ROSTER = "project_id,member_id\nA,a1\nA,a2\nB,b1\nB,b2\nC,c1\nD,d1\n"
-
 
 def assert_golden(path: Path, name: str) -> None:
     assert path.read_bytes() == (GOLDEN / name).read_bytes(), f"{path.name} differs from golden/{name}"
@@ -104,10 +91,9 @@ def assert_stdout_golden(capsys, name: str) -> None:
 def test_reciprocal_bytes(tmp_path, capsys, monkeypatch, weighted):
     """The stdout summary names the outputs by the relative --out-dir."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "contributions.csv").write_text(ROSTER_CONTRIBUTIONS, encoding="utf-8")
-    (tmp_path / "teams.csv").write_text(ROSTER, encoding="utf-8")
-    argv = ["reciprocal", "--contributions", "contributions.csv", "--teams", "teams.csv",
-            "--out-dir", "forensics"]
+    inputs = GOLDEN / "reciprocal"
+    argv = ["reciprocal", "--contributions", str(inputs / "contributions.csv"),
+            "--teams", str(inputs / "teams.csv"), "--out-dir", "forensics"]
     assert main(argv + (["--weighted"] if weighted else [])) == 0
     suffix = "_weighted" if weighted else ""
     assert_stdout_golden(capsys, f"reciprocal{suffix}_stdout.json")

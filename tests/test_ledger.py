@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import statistics
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -232,6 +233,23 @@ def two_team_graph():
     return build_graph(contributions, roster, {"A": "x", "B": "y"})
 
 
+def edge_pairs(graph, mask=slice(None)) -> set[tuple[str, str]]:
+    """The edges ``mask`` selects, as (source, target) ids read from the graph's arrays."""
+    sources, targets = graph.sources[mask].tolist(), graph.targets[mask].tolist()
+    return {(graph.nodes[a], graph.nodes[b]) for a, b in zip(sources, targets)}
+
+
+def outdegrees(graph) -> dict[str, int]:
+    """Node -> the number of edges leaving it, read from ``sources``."""
+    counts = Counter(graph.sources.tolist())
+    return {node: counts[i] for i, node in enumerate(graph.nodes)}
+
+
+def self_support(graph) -> dict[str, int]:
+    """Node -> the records its own members sent it, for nodes with any."""
+    return {node: count for node, count in zip(graph.nodes, graph.self_counts.tolist()) if count}
+
+
 class TestBuildGraph:
     def test_disjoint_teams_no_edges(self):
         roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
@@ -241,8 +259,7 @@ class TestBuildGraph:
     def test_mutual_pair(self):
         graph = two_team_graph()
         assert set(graph.edges) == {("A", "B"), ("B", "A")}
-        assert graph.reciprocal_partners("A") == {"B"}
-        assert graph.reciprocal_partners("B") == {"A"}
+        assert edge_pairs(graph, graph.mutual) == {("A", "B"), ("B", "A")}
 
     def test_four_project_fixture_exact_adjacency(self):
         roster = TeamRoster(
@@ -264,8 +281,8 @@ class TestBuildGraph:
         graph = build_graph(contributions, roster, {})
         assert set(graph.edges) == {("A", "B"), ("B", "A"), ("A", "C"), ("D", "C")}
         assert graph.edges[("A", "B")] == pytest.approx(4.0)
-        assert graph.self_support == {"C": 1}
-        assert graph.outdegree("A") == 2
+        assert self_support(graph) == {"C": 1}
+        assert outdegrees(graph)["A"] == 2
 
     def test_member_on_two_teams_projects_both(self):
         roster = TeamRoster({"A": frozenset({"m"}), "B": frozenset({"m"})})
@@ -298,15 +315,12 @@ class TestBuildGraph:
 
         nodes = set(teams) | {pid for _cid, pid, _amount in records}
         edges = {(a, b) for a in teams for b in nodes if a != b and given_to(a, b)}
-        self_support = {a: len(given_to(a, a)) for a in teams if given_to(a, a)}
         assert set(graph.edges) == edges
-        assert graph.self_support == self_support
-        assert graph.categories == {node: labels.get(node, "") for node in nodes}
-        for node in nodes:
-            targets = {b for (a, b) in edges if a == node}
-            assert graph.outdegree(node) == len(targets)
-            assert graph.out_neighbors(node) == targets
-            assert graph.reciprocal_partners(node) == {b for b in targets if (b, node) in edges}
+        assert self_support(graph) == {a: len(given_to(a, a)) for a in teams if given_to(a, a)}
+        assert dict(zip(graph.nodes, graph.labels)) == {node: labels.get(node, "") for node in nodes}
+        assert outdegrees(graph) == {node: sum(a == node for (a, _b) in edges) for node in nodes}
+        assert edge_pairs(graph) == edges
+        assert edge_pairs(graph, graph.mutual) == {(a, b) for (a, b) in edges if (b, a) in edges}
         weighted = reciprocity_stats(graph, weighted=True)
         assert [row.project_id for row in weighted.rows] == sorted(nodes)
         for row in weighted.rows:
@@ -362,8 +376,8 @@ class TestReciprocityStats:
         for row in report.rows:
             assert row.reciprocal <= row.outdegree
             assert row.cross_reciprocal <= row.cross_outdegree
-        for (a, b) in graph.edges:
-            assert (b in graph.reciprocal_partners(a)) == (a in graph.reciprocal_partners(b))
+        mutual = edge_pairs(graph, graph.mutual)
+        assert mutual == {(b, a) for (a, b) in mutual}
 
     def test_generator_recovers_reciprocation_probability(self):
         slopes = []
@@ -525,12 +539,14 @@ class TestGraphOracle:
         contributions = [Contribution(m, p, amount, 0) for m, p, amount in records]
         expected = graph_oracle.build_graph(contributions, roster, labels)
         assert graph.edges == expected.edges
-        assert graph.self_support == expected.self_support
-        assert graph.categories == expected.categories
-        for node in expected.categories:
-            assert graph.outdegree(node) == expected.outdegree(node)
-            assert graph.out_neighbors(node) == expected.out_neighbors(node)
-            assert graph.reciprocal_partners(node) == expected.reciprocal_partners(node)
+        assert self_support(graph) == expected.self_support
+        assert dict(zip(graph.nodes, graph.labels)) == expected.categories
+        nodes = expected.categories
+        assert outdegrees(graph) == {node: expected.outdegree(node) for node in nodes}
+        assert edge_pairs(graph) == {(a, b) for a in nodes for b in expected.out_neighbors(a)}
+        assert edge_pairs(graph, graph.mutual) == {
+            (a, b) for a in nodes for b in expected.reciprocal_partners(a)
+        }
         for weighted in (False, True):
             assert _outcome(reciprocity_stats, graph, weighted=weighted) == _outcome(
                 graph_oracle.reciprocity_stats, expected, weighted=weighted
