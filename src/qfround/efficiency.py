@@ -16,7 +16,6 @@ far the scaled allocation is from equalizing marginal benefits.
 from __future__ import annotations
 
 import math
-import statistics
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -133,6 +132,8 @@ class DispersionStats:
 
 def dispersion(reports: Iterable[LambdaReport], category: str) -> DispersionStats:
     """Population summary of lambda_p across one category's projects."""
+    import statistics  # it loads fractions and decimal, so only this summary pays for them
+
     values = [r.lambda_p for r in reports if r.category == category]
     if not values:
         raise DomainError(f"no reports in category {category!r}")

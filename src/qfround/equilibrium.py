@@ -50,6 +50,9 @@ FAMILIES = ("sqrt", "log")
 DAMPING = 0.5
 #: best_response converges once every undamped step is below TOL * max(1, target).
 TOL = 1e-11
+#: The planner resolves the funding of a project valued both by sqrt and by log
+#: to this much (relative above 1), so it funds none below about this amount.
+PLANNER_RESOLUTION = 1e-13
 
 
 @dataclass(frozen=True)
@@ -331,7 +334,7 @@ def _invert_marginal(a: float, b: float, lam: float) -> float:
             break
         hi *= 2.0
     lo = 0.0
-    while hi - lo > 1e-13 * max(hi, 1.0):
+    while hi - lo > PLANNER_RESOLUTION * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if marginal(mid) > lam:
             lo = mid
@@ -367,12 +370,16 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
         return total(_invert_marginal(a, b, lam) for a, b in scales)
 
     lam_lo = lam_hi = 1.0
-    for _ in range(400):
-        if total_funding(lam_hi) <= pool:
-            break
+    while total_funding(lam_hi) > pool:
+        if lam_hi >= 2.0**400:
+            floor = ""
+            if any(a and b for a, b in scales):
+                floor = f"; a project valued by both sqrt and log is resolved only to {PLANNER_RESOLUTION!r}"
+            raise DomainError(
+                f"failed to bracket the planner multiplier from above: pool {pool!r} is below "
+                f"{total_funding(lam_hi)!r}, the least total funding at multipliers up to 2**400{floor}"
+            )
         lam_hi *= 2.0
-    else:
-        raise DomainError("failed to bracket the planner multiplier from above")
     for _ in range(2000):
         if total_funding(lam_lo) >= pool:
             break

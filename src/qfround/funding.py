@@ -21,10 +21,14 @@ import math
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoMatchableProjectsError
+
+# numpy is imported inside the kernels that use it, so a command that never
+# reaches one does not pay for its import.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Contribution",
@@ -200,6 +204,8 @@ class ContributionColumns:
         Returns the pairs' contributor codes and amounts in key order, each
         project's offsets into them, and each project's ``fsum`` of its records.
         """
+        import numpy as np
+
         width = max(len(self.contributor_codes), 1)
         keys = np.frombuffer(self.projects, dtype=np.int64) * width
         keys += np.frombuffer(self.contributors, dtype=np.int64)

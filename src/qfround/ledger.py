@@ -16,11 +16,15 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from operator import itemgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, LedgerFormatError
 from .funding import ContributionColumns, check_record
+
+# numpy is imported inside the kernels that use it, so a command that never
+# reaches one does not pay for its import.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RowError",
@@ -267,6 +271,8 @@ def build_graph(
     whose sum does not depend on their order, and an edge of three or more
     is summed in Python after its rows are put back in record order.
     """
+    import numpy as np
+
     nodes = sorted(set(roster.members).union(contributions.project_codes))
     index = {node: i for i, node in enumerate(nodes)}
     width = max(len(nodes), 1)
@@ -354,6 +360,8 @@ class ReciprocityReport:
 
 def _category_codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct categories, and each label's index among them."""
+    import numpy as np
+
     names = sorted(set(labels))
     code = {name: i for i, name in enumerate(names)}
     return names, np.array([code[label] for label in labels], dtype=np.int64)
@@ -362,6 +370,8 @@ def _category_codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
 def _per_node(sources: np.ndarray, amounts: np.ndarray, n: int, weighted: bool) -> list[float]:
     """Per node, its edges among sorted ``sources``: their count, or with
     ``weighted`` the ``math.fsum`` of their amounts."""
+    import numpy as np
+
     if not weighted:
         return np.bincount(sources, minlength=n).astype(float).tolist()
     bounds = np.searchsorted(sources, np.arange(n + 1)).tolist()
@@ -422,6 +432,8 @@ def cross_category_stats(graph: ContributionGraph) -> CrossCategoryReport:
     """
     if not graph.nodes:
         raise DomainError("empty graph")
+    import numpy as np
+
     total = len(graph.nodes)
     names, codes = _category_codes(graph.labels)
     # one endpoint per mutual edge, in its source's category

@@ -32,8 +32,6 @@ from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError, LedgerFormatError
 from .funding import ContributionColumns, check_record, required_match
@@ -536,6 +534,8 @@ class DeficitCurve:
 
 def deficit_curve(trajectory: RoundTrajectory) -> DeficitCurve:
     """Final per-project requirement vs contributor count, with a quadratic fit."""
+    import numpy as np
+
     points = []
     for block in trajectory.final_report.categories:
         for project in block.projects:

@@ -421,6 +421,30 @@ class TestEquilibriumCommand:
             f"error: planner funds or welfare at pool {pool} pass the largest float\n"
         )
 
+    @pytest.mark.parametrize("pool", ["1e-300", "5e-324"])
+    def test_planner_pool_below_the_resolution_floor(self, capsys, pool):
+        """p2 and p3 are valued by both sqrt and log, so the planner funds
+        neither below its resolution, whatever the multiplier."""
+        argv = ["equilibrium", "--valuations", str(EQUILIBRIUM / "valuations.csv"), "--k", "2.5",
+                "--planner-pool", pool]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: failed to bracket the planner multiplier from above: pool {pool} is below "
+            "5.684341886080802e-14, the least total funding at multipliers up to 2**400; "
+            "a project valued by both sqrt and log is resolved only to 1e-13\n"
+        )
+
+    def test_planner_pool_below_the_multiplier_bound(self, tmp_path, capsys):
+        """A sqrt project at pool 1e-300 needs a multiplier near 1e150, past 2**400."""
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(SPLIT_VALUATIONS, encoding="utf-8")
+        argv = ["equilibrium", "--valuations", str(valuations), "--k", "2", "--planner-pool", "1e-300"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: failed to bracket the planner multiplier from above: pool 1e-300 is below "
+            "1.499696813895631e-241, the least total funding at multipliers up to 2**400\n"
+        )
+
     def test_best_contribution_past_the_largest_float(self, tmp_path, capsys):
         valuations = tmp_path / "valuations.csv"
         valuations.write_text("contributor_id,project_id,family,scale\na,p1,sqrt,1e308\n", encoding="utf-8")

@@ -251,13 +251,32 @@ class TestBestResponse:
             unique_by=lambda row: row[:2],
         ),
         st.floats(min_value=0.5, max_value=50.0),
+        st.none() | st.dictionaries(
+            st.sampled_from(("c0", "c1", "c2", "c3")), st.floats(min_value=0.01, max_value=20.0), max_size=4
+        ),
     )
+    @example([("c0", "p0", "sqrt", 4.0), ("c0", "p1", "log", 3.0), ("c1", "p0", "sqrt", 2.0)], 2.0, {"c0": 0.5})
     @settings(max_examples=60, deadline=None)
-    def test_converged_runs_satisfy_first_order_conditions(self, rows, k):
+    def test_converged_runs_satisfy_first_order_conditions(self, rows, k, budgets):
+        """Without budgets every positive entry meets its first-order condition;
+        with budgets, every entry that no budget clamped does."""
         vals = [Valuation(cid, pid, family, scale) for cid, pid, family, scale in rows]
-        result = best_response(vals, k)
+        result = best_response(vals, k, budgets)
         assume(result.converged)
-        assert max_foc_residual(vals, result.contributions, k) <= 1e-6
+        if budgets is None:
+            assert max_foc_residual(vals, result.contributions, k) <= 1e-6
+        for v in vals:
+            key = (v.contributor_id, v.project_id)
+            c = result.contributions[key]
+            if key in result.clamped or c <= 0.0:
+                continue
+            others = [
+                result.contributions[(u.contributor_id, u.project_id)]
+                for u in vals
+                if u.project_id == v.project_id and u is not v
+            ]
+            lhs = foc_lhs(v, k, math.fsum(map(math.sqrt, others)), math.fsum(others), c)
+            assert abs(lhs - 1.0) <= 1e-6, key
 
     def test_budget_clamping_marks_entries(self):
         vals = [sqrt_val("a", "p1", 4.0), sqrt_val("a", "p2", 4.0)]

@@ -6,6 +6,10 @@ change to a formula, a summation order or a writer's formatting shows up
 as a failing comparison.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +23,8 @@ from qfround.funding import Contribution
 from qfround.roundsim import _RoundState
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SAMPLE_ROUND = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_ROUND = ROOT / "sample_rounds" / "pool_increase_round.json"
 SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
 
 
@@ -196,3 +201,43 @@ def test_equilibrium_bytes(tmp_path, capsys, name, extra):
     assert main(argv + extra) == 0
     assert capsys.readouterr().err == ""
     assert_golden(out, f"equilibrium/{name}")
+
+
+#: Reports which of numpy and statistics are loaded after ``import
+#: qfround.cli``, after the commands that need neither, and after ``allocate``.
+LAZY_IMPORTS = """
+import contextlib, io, json, sys
+loaded = lambda: sorted({"numpy", "statistics"} & set(sys.modules))
+stages = {}
+import qfround.cli
+stages["import"] = loaded()
+valuations, contributions, pools, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["equilibrium", "--valuations", valuations, "--k", "2.5"], ["sweep-k"],
+                 ["collusion", "--sweep"]):
+        assert qfround.cli.main(argv) == 0, argv
+stages["equilibrium, sweep-k, collusion"] = loaded()
+assert qfround.cli.main(["allocate", "--contributions", contributions, "--pools", pools,
+                         "--json", out + ".json", "--csv", out + ".csv"]) == 0
+stages["allocate"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_numpy_and_statistics_load_only_where_their_kernels_run(fixture_round, tmp_path):
+    """A fresh interpreter: importing the CLI loads neither numpy nor
+    statistics, the commands that never reach a numpy kernel leave it
+    unloaded, and ``allocate``, which loads it, still writes its golden bytes."""
+    contributions, pools = fixture_round
+    out = tmp_path / "allocate"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", LAZY_IMPORTS, str(GOLDEN / "equilibrium" / "valuations.csv"),
+            str(contributions), str(pools), str(out)]
+    done = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    stages = json.loads(done.stdout)
+    assert stages["import"] == []
+    assert "numpy" not in stages["equilibrium, sweep-k, collusion"]
+    assert "numpy" in stages["allocate"]
+    assert_golden(tmp_path / "allocate.json", "allocate.json")
+    assert_golden(tmp_path / "allocate.csv", "allocate.csv")
