@@ -15,8 +15,8 @@ c_i = 0 corner for the log family.
 
 The solver runs simultaneous best-response sweeps damped by 0.5 until the
 largest update, relative to max(1, target), is below tolerance, then one
-undamped in-place sweep so every entry lands on its exact best response
-against the final profile.  k is exogenous throughout.
+undamped simultaneous sweep that sets every entry to its exact best response
+against the profile the damped sweeps reached.  k is exogenous throughout.
 
 Valuations come in two closed-form concave families:
 
@@ -95,6 +95,19 @@ def _funding(k: float, s: float, c: float) -> float:
     return (s * s) / k + (1.0 - 1.0 / k) * c
 
 
+def _sums(amounts: Sequence[float]) -> tuple[float, float]:
+    """A project's square-root sum and plain sum of its contribution ``amounts``."""
+    return math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts)
+
+
+def _total(values) -> float:
+    """``math.fsum`` of ``values``, or inf once a term or the sum passes the largest float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _foc(
     valuation: Valuation, k: float, s_others: float, c_others: float, c: float
 ) -> tuple[float, float, float]:
@@ -134,10 +147,9 @@ def solve_best_contribution(
         raise DomainError(f"k must be positive, got {k!r}")
     try:
         if s_others <= 0.0:
-            # Alone on the project the funding formula collapses to F = c.
-            if valuation.family == "sqrt":
-                return (valuation.scale / 2.0) ** 2
-            return max(0.0, valuation.scale - 1.0)
+            # Alone on the project the funding formula collapses to F = c, so V'(c) = 1.
+            scales = (valuation.scale if valuation.family == f else 0.0 for f in FAMILIES)
+            return _invert_marginal(*scales, 1.0)
         c = start if start > 0.0 else 1.0
         lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
         # Steps of 2 cross all positive floats (about 1455 in ln c) in under 730.
@@ -213,13 +225,16 @@ def best_response(
     A sweep converges when every undamped step is below ``TOL`` times
     max(1, target): roots are resolved only to a relative step of 1e-13, so
     an absolute test could never pass for large amounts.  Non-convergence after
-    ``max_iter`` sweeps returns converged=False rather than a silent answer.
+    ``max_iter`` sweeps returns converged=False rather than a silent answer;
+    ``max_iter`` below 1 raises DomainError.
     ``funds`` and ``aggregate_marginal`` list projects in sorted order.
     """
     if not valuations:
         raise DomainError("at least one valuation is required")
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     grouped = _group_by_project(valuations)
     current: dict[tuple[str, str], float] = {
         (v.contributor_id, v.project_id): 0.0 for vals in grouped.values() for v in vals
@@ -228,20 +243,15 @@ def best_response(
         for key, value in initial.items():
             if key in current and value >= 0.0:
                 current[key] = float(value)
+    projects = [(p, grouped[p], [(v.contributor_id, p) for v in grouped[p]]) for p in sorted(grouped)]
 
     def sweep_targets() -> dict[tuple[str, str], float]:
         targets: dict[tuple[str, str], float] = {}
-        for project in sorted(grouped):
-            vals = grouped[project]
-            roots = {v.contributor_id: math.sqrt(current[(v.contributor_id, project)]) for v in vals}
-            s_all = math.fsum(roots.values())
-            c_all = math.fsum(current[(v.contributor_id, project)] for v in vals)
-            for v in vals:
-                key = (v.contributor_id, project)
-                targets[key] = solve_best_contribution(
-                    v, k, s_all - roots[v.contributor_id], c_all - current[key],
-                    current[key],
-                )
+        for _, vals, keys in projects:
+            s_all, c_all = _sums([current[key] for key in keys])
+            for v, key in zip(vals, keys):
+                c = current[key]
+                targets[key] = solve_best_contribution(v, k, s_all - math.sqrt(c), c_all - c, c)
         return targets
 
     keys_of: dict[str, list[tuple[str, str]]] = {}
@@ -276,30 +286,26 @@ def best_response(
         if delta / DAMPING < TOL:
             converged = True
             break
-    # One exact, undamped in-place sweep: interior entries land on their
-    # best response against the final profile, corners land on exactly 0.
+    # One exact, undamped simultaneous sweep: interior entries land on their
+    # best response against the profile before it, corners on exactly 0.
     final_targets = sweep_targets()
     clamped = clamp(final_targets)
     current.update(final_targets)
 
     funds: dict[str, float] = {}
     marginals: dict[str, float] = {}
-    for project in sorted(grouped):
-        vals = grouped[project]
-        s_all = math.fsum(math.sqrt(current[(v.contributor_id, project)]) for v in vals)
-        c_all = math.fsum(current[(v.contributor_id, project)] for v in vals)
-        funding = _funding(k, s_all, c_all)
+    for project, vals, keys in projects:
+        funding = _funding(k, *_sums([current[key] for key in keys]))
         funds[project] = funding
         marginals[project] = math.fsum(v.marginal(funding) for v in vals)
-    total_value = math.fsum(v.value(funds[v.project_id]) for vals in grouped.values() for v in vals)
-    spent = math.fsum(current.values())
-    if not math.isfinite(total_value - spent):
+    net = welfare(valuations, funds, current)
+    if not math.isfinite(net):
         raise DomainError(f"best response at k = {k!r}: funds or welfare pass the largest float")
     return EquilibriumResult(
         contributions=dict(current),
         funds=funds,
         aggregate_marginal=marginals,
-        welfare=total_value - spent,
+        welfare=net,
         iterations=iterations,
         converged=converged,
         clamped=frozenset(clamped),
@@ -360,14 +366,8 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
     projects = sorted(grouped)
     scales = [[math.fsum(v.scale for v in grouped[p] if v.family == f) for f in FAMILIES] for p in projects]
 
-    def total(values) -> float:
-        try:
-            return math.fsum(values)
-        except OverflowError:  # a term or the sum passes the largest float, so any pool
-            return math.inf
-
-    def total_funding(lam: float) -> float:
-        return total(_invert_marginal(a, b, lam) for a, b in scales)
+    def total_funding(lam: float) -> float:  # inf, past any pool, once the funds pass the largest float
+        return _total(_invert_marginal(a, b, lam) for a, b in scales)
 
     lam_lo = lam_hi = 1.0
     while total_funding(lam_hi) > pool:
@@ -402,10 +402,10 @@ def planner_optimum(valuations: Sequence[Valuation], pool: float) -> PlannerResu
     if spent > 0:
         factor = pool / spent
         funds = {p: f * factor for p, f in funds.items()}
-    total_value = total(v.value(funds[v.project_id]) for vals in grouped.values() for v in vals)
-    if not math.isfinite(total_value - pool):
+    net = welfare(valuations, funds, {}) - pool
+    if not math.isfinite(net):
         raise DomainError(f"planner funds or welfare at pool {pool!r} pass the largest float")
-    return PlannerResult(funds=funds, common_marginal=lam, welfare=total_value - pool)
+    return PlannerResult(funds=funds, common_marginal=lam, welfare=net)
 
 
 def welfare(
@@ -413,13 +413,14 @@ def welfare(
     funds: Mapping[str, float],
     contributions: Mapping[tuple[str, str], float],
 ) -> float:
-    """Total valuation of the funded levels minus the contributions spent."""
-    total = 0.0
+    """Total valuation of the funded levels minus the contributions spent.
+
+    Each side is one ``_total``, so a sum past the largest float reads inf.
+    """
     for valuation in valuations:
         if valuation.project_id not in funds:
             raise DomainError(f"no funding entry for project {valuation.project_id!r}")
-        total += valuation.value(funds[valuation.project_id])
-    return total - math.fsum(contributions.values())
+    return _total(v.value(funds[v.project_id]) for v in valuations) - _total(contributions.values())
 
 
 def max_foc_residual(
@@ -431,16 +432,11 @@ def max_foc_residual(
     grouped = _group_by_project(list(valuations))
     worst = 0.0
     for project, vals in grouped.items():
-        amounts = {v.contributor_id: contributions.get((v.contributor_id, project), 0.0) for v in vals}
-        s_all = math.fsum(math.sqrt(a) for a in amounts.values())
-        c_all = math.fsum(amounts.values())
-        funding = _funding(k, s_all, c_all)
-        for v in vals:
-            c = amounts[v.contributor_id]
-            if c <= 0.0:
-                continue
-            bracket = (s_all / math.sqrt(c)) / k + 1.0 - 1.0 / k
-            worst = max(worst, abs(v.marginal(funding) * bracket - 1.0))
+        amounts = [contributions.get((v.contributor_id, project), 0.0) for v in vals]
+        s_all, c_all = _sums(amounts)
+        for v, c in zip(vals, amounts):
+            if c > 0.0:
+                worst = max(worst, abs(foc_lhs(v, k, s_all - math.sqrt(c), c_all - c, c) - 1.0))
     return worst
 
 
@@ -452,6 +448,8 @@ def load_valuations(path) -> list[Valuation]:
         path, ("contributor_id", "project_id", "family", "scale")
     ):
         key = ((contributor or "").strip(), (project or "").strip())
+        if not all(key):
+            raise LedgerFormatError(f"{path}:{line}: missing contributor or project id")
         if key in seen:
             raise LedgerFormatError(f"{path}:{line}: duplicate valuation for {key!r}")
         seen.add(key)

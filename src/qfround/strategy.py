@@ -115,11 +115,19 @@ def trigger_sustainable(discount_rate: float) -> bool:
     return discount_rate <= TRIGGER_RATE_BOUND
 
 
-def alpha_star(n: int) -> float:
-    """Break-even cooperating fraction with unlimited matching funds: 1/sqrt(n)."""
+def _ring_size(n: int) -> float:
+    """``n`` as a float, once it is a ring size (at least 2) within the float range."""
     if n < 2:
         raise DomainError(f"ring size must be at least 2, got {n!r}")
-    return 1.0 / math.sqrt(n)
+    try:
+        return float(n)
+    except OverflowError:
+        raise DomainError(f"ring size n = {n!r} passes the largest float") from None
+
+
+def alpha_star(n: int) -> float:
+    """Break-even cooperating fraction with unlimited matching funds: 1/sqrt(n)."""
+    return 1.0 / math.sqrt(_ring_size(n))
 
 
 def alpha_double_star(n: int, k: float) -> float:
@@ -131,14 +139,17 @@ def alpha_double_star(n: int, k: float) -> float:
 
     evaluated in the rationalized form 2 / (b + sqrt(b^2 + 4n/k)) with
     b = 1 - 1/k, which avoids cancellation at large k.  Reduces to
-    1/sqrt(n) at k = 1 and rises toward 1 as k grows.
+    1/sqrt(n) at k = 1 and rises toward 1 as k grows.  An n or 4n/k past
+    the largest float raises DomainError.
     """
-    if n < 2:
-        raise DomainError(f"ring size must be at least 2, got {n!r}")
+    size = _ring_size(n)
     if not math.isfinite(k) or k < 1.0:
         raise DomainError(f"k must be at least 1, got {k!r}")
+    ratio = 4.0 * (size / k)
+    if ratio == math.inf:
+        raise DomainError(f"ring size n = {n!r} at k = {k!r}: 4n/k passes the largest float")
     b = 1.0 - 1.0 / k
-    return 2.0 / (b + math.sqrt(b * b + 4.0 * n / k))
+    return 2.0 / (b + math.sqrt(b * b + ratio))
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,12 @@ from qfround.cli import main
 from qfround.funding import Contribution
 from qfround.ledger import load_contributions
 
-CONTRIBUTIONS = """day,category,project_id,contributor_id,amount
-0,main,p1,alice,1
-0,main,p1,bob,1
-1,main,p2,carol,4
-"""
-
-POOLS = "category,pool\nmain,1\n"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: The allocate and diagnose golden inputs, which CI's installed-script job replays too.
+CONTRIBUTIONS = (GOLDEN / "allocate" / "contributions.csv").read_text(encoding="utf-8")
+POOLS = (GOLDEN / "allocate" / "pools.csv").read_text(encoding="utf-8")
 TEAMS = "project_id,member_id\np1,bob\np2,alice\n"
-EQUILIBRIUM = Path(__file__).resolve().parent / "golden" / "equilibrium"
+EQUILIBRIUM = GOLDEN / "equilibrium"
 #: One project valued only through sqrt, one only through log.
 SPLIT_VALUATIONS = "contributor_id,project_id,family,scale\na,p1,sqrt,2.0\nb,p2,log,3.0\n"
 
@@ -320,6 +317,17 @@ class TestCollusion:
         assert captured.err == f"error: --k-max must be finite, got {float(value)!r}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--n", str(10**400), "--k", "2"], f"ring size n = {10**400} passes the largest float"),
+        (["--n", str(10**308), "--k", "2"], f"ring size n = {10**308} at k = 2.0: 4n/k passes the largest float"),
+        (["--sweep", "--ring-sizes", f"10,{10**400}"], f"ring size n = {10**400} passes the largest float"),
+    ], ids=["n_past_float", "4n_over_k_past_float", "sweep"])
+    def test_ring_size_past_the_float_range_is_domain_error(self, capsys, argv, reason):
+        assert main(["collusion", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("sizes", ["10,x", "10,,25", ""])
     def test_ring_sizes_not_integers_is_usage_error(self, capsys, sizes):
         with pytest.raises(SystemExit) as excinfo:
@@ -470,6 +478,16 @@ class TestEquilibriumCommand:
         payload = json.loads(stopped.out)
         assert not payload["converged"] and payload["iterations"] == 1
         assert stopped.err == "warning: best response did not converge in 1 sweeps\n"
+
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_fewer_than_one_sweep_is_domain_error(self, tmp_path, capsys, max_iter):
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(VALUATIONS, encoding="utf-8")
+        argv = ["equilibrium", "--valuations", str(valuations), "--k", "1.0", "--max-iter", max_iter]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_iter must be at least 1, got {max_iter}\n"
+        assert captured.out == ""
 
 
 SIM_CONFIG = {
@@ -709,6 +727,17 @@ class TestMalformedRows:
         valuations.write_text(VALUATIONS + row, encoding="utf-8")
         assert main(["equilibrium", "--valuations", str(valuations), "--k", "1.0"]) == 1
         assert f"{valuations}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [",p2,sqrt,1.0\n", "c,,log,1.0\n", " , ,sqrt,1.0\n"],
+                             ids=["contributor", "project", "both"])
+    def test_valuation_without_an_id(self, tmp_path, capsys, row):
+        """As in contributions.csv, a row needs both ids; here it stops the command."""
+        valuations = tmp_path / "valuations.csv"
+        valuations.write_text(VALUATIONS + row, encoding="utf-8")
+        assert main(["equilibrium", "--valuations", str(valuations), "--k", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {valuations}:4: missing contributor or project id\n"
+        assert captured.out == ""
 
 
 class TestLoaderReasons:
@@ -1092,6 +1121,19 @@ class TestFuzz:
             data = self.garble(rng, base, self.GARBLE + self.EXTREME)
             path.write_bytes(data)
             self.run(capsys, rng.choice(commands), data)
+
+    def test_equilibrium_extreme_scales(self, tmp_path, capsys):
+        """Two to four contributors value one project through sqrt at scales
+        from 1e150 to 1e300, over k from 0.5 to 1e10.  At 1e154 each value is
+        finite but their sum can pass the largest float."""
+        path = tmp_path / "valuations.csv"
+        for n in range(2, 5):
+            for scale in ("1e150", "1e154", "1e200", "1e300"):
+                rows = "".join(f"c{i},p,sqrt,{scale}\n" for i in range(n))
+                path.write_text("contributor_id,project_id,family,scale\n" + rows, encoding="utf-8")
+                for k in ("0.5", "1", "2.5", "1e5", "1e10"):
+                    argv = ["equilibrium", "--valuations", str(path), "--k", k, "--max-iter", "200"]
+                    self.run(capsys, argv, f"{n} contributors at scale {scale}, k {k}")
 
     def test_equilibrium_flag_values(self, tmp_path, capsys):
         """Every pairing of extreme and ordinary ``--k`` and ``--planner-pool``

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -380,6 +381,17 @@ class TestBestResponse:
         with pytest.raises(DomainError):
             best_response([], 1.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_fewer_than_one_sweep_rejected(self, max_iter):
+        with pytest.raises(DomainError, match=f"max_iter must be at least 1, got {max_iter}"):
+            best_response([sqrt_val("a", "p", 1.0)], 1.0, max_iter=max_iter)
+
+    def test_welfare_past_the_largest_float_is_a_domain_error(self):
+        # Every value is finite, but their sum passes the largest float.
+        vals = [sqrt_val("a", "p", 1e154), sqrt_val("b", "p", 1e154)]
+        with pytest.raises(DomainError, match="funds or welfare pass the largest float"):
+            best_response(vals, 1.0)
+
 
 class TestPlanner:
     def test_symmetric_two_projects_split_evenly(self):
@@ -514,7 +526,41 @@ class TestClampAgainstOracle:
                 assert got.clamped  # the budgets bind
 
 
+#: Games of up to four contributors over three projects, as (contributor, project, family, scale) rows.
+GAMES = st.lists(
+    st.tuples(
+        st.sampled_from(("c0", "c1", "c2", "c3")),
+        st.sampled_from(("p0", "p1", "p2")),
+        st.sampled_from(FAMILIES),
+        _power_of_ten(-2.0, 3.0),
+    ),
+    min_size=1,
+    max_size=10,
+    unique_by=lambda row: row[:2],
+)
+
+
 class TestWelfare:
+    @given(
+        GAMES,
+        st.floats(min_value=0.5, max_value=50.0),
+        st.none() | st.dictionaries(st.sampled_from(("c0", "c1", "c2", "c3")), _power_of_ten(-2.0, 2.0)),
+        _power_of_ten(-2.0, 4.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_results_report_the_welfare_of_their_funds(self, rows, k, budgets, pool):
+        """Best response and planner take their welfare from ``welfare``, bit for bit."""
+        vals = [Valuation(*row) for row in rows]
+        result = best_response(vals, k, budgets, max_iter=50)
+        assert welfare(vals, result.funds, result.contributions) == result.welfare
+        planned = planner_optimum(vals, pool)
+        assert welfare(vals, planned.funds, {}) - pool == planned.welfare
+
+    def test_a_sum_past_the_largest_float_reads_inf(self):
+        vals = [sqrt_val("a", "p", 1e300), sqrt_val("b", "p", 1e300)]
+        assert welfare(vals, {"p": 1e16}, {}) == math.inf
+        assert welfare(vals, {"p": 1.0}, {("a", "p"): 1e308, ("b", "p"): 1e308}) == -math.inf
+
     def test_zero_funds_zero_welfare(self):
         vals = [sqrt_val("a", "p", 2.0), log_val("b", "p", 1.0)]
         assert welfare(vals, {"p": 0.0}, {}) == 0.0
@@ -538,6 +584,13 @@ class TestValuationsCsv:
         )
         vals = load_valuations(path)
         assert vals == [sqrt_val("a", "p1", 2.0), log_val("b", "p1", 1.5)]
+
+    @pytest.mark.parametrize("row", [",p1,sqrt,2.0", "a, ,sqrt,2.0", "a"])
+    def test_missing_ids(self, tmp_path, row):
+        path = tmp_path / "valuations.csv"
+        path.write_text(f"contributor_id,project_id,family,scale\nb,p1,log,1.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(LedgerFormatError, match=re.escape(f"{path}:3: missing contributor or project id")):
+            load_valuations(path)
 
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "valuations.csv"

@@ -14,7 +14,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from test_cli import CONTRIBUTIONS, POOLS
 from test_ledger import write_contributions
 from test_roundsim import SHADOW_CALLS, checked_nothing_to_add
 
@@ -23,6 +22,7 @@ from qfround.funding import Contribution
 from qfround.roundsim import _RoundState
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ALLOCATE = GOLDEN / "allocate"
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_ROUND = ROOT / "sample_rounds" / "pool_increase_round.json"
 SIMULATE_OUTPUTS = ("k_daily.csv", "panel.csv", "deficit_curve.csv", "allocation_report.json")
@@ -43,12 +43,9 @@ def no_records(monkeypatch):
 
 
 @pytest.fixture
-def fixture_round(tmp_path):
-    contributions = tmp_path / "contributions.csv"
-    contributions.write_text(CONTRIBUTIONS, encoding="utf-8")
-    pools = tmp_path / "pools.csv"
-    pools.write_text(POOLS, encoding="utf-8")
-    return contributions, pools
+def fixture_round():
+    """The allocate and diagnose inputs, which CI's installed-script job reads too."""
+    return ALLOCATE / "contributions.csv", ALLOCATE / "pools.csv"
 
 
 @pytest.mark.usefixtures("no_records")
@@ -67,8 +64,7 @@ def test_allocate_bytes(fixture_round, tmp_path, capsys, cap):
 @pytest.mark.usefixtures("no_records")
 def test_allocate_generous_pool_bytes(fixture_round, tmp_path, capsys):
     contributions, _ = fixture_round
-    pools = tmp_path / "generous.csv"
-    pools.write_text("category,pool\nmain,8\n", encoding="utf-8")
+    pools = ALLOCATE / "pools_generous.csv"
     for cap in (False, True):
         suffix = "_cap" if cap else ""
         argv = ["allocate", "--contributions", str(contributions), "--pools", str(pools),

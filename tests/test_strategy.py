@@ -107,6 +107,11 @@ class TestAlphaStar:
         with pytest.raises(DomainError):
             alpha_star(1)
 
+    def test_ring_past_the_float_range_rejected(self):
+        assert alpha_star(10**308) == pytest.approx(1e-154, rel=1e-12)
+        with pytest.raises(DomainError, match="ring size n = 1000"):
+            alpha_star(10**400)
+
 
 class TestAlphaDoubleStar:
     def test_reduces_to_alpha_star_at_unit_k(self):
@@ -141,6 +146,14 @@ class TestAlphaDoubleStar:
     def test_k_below_one_rejected(self):
         with pytest.raises(DomainError):
             alpha_double_star(25, 0.5)
+
+    def test_4n_over_k_past_the_float_range_rejected(self):
+        # At k = 2, 4n/k passes the largest float; k = 1e10 brings it back in range.
+        with pytest.raises(DomainError, match=r"ring size n = 1000\d* at k = 2\.0: 4n/k passes the largest float"):
+            alpha_double_star(10**308, 2.0)
+        with pytest.raises(DomainError, match="passes the largest float"):
+            alpha_double_star(10**400, 1e300)
+        assert alpha_double_star(10**308, 1e10) == pytest.approx(math.sqrt(1e10 / 1e308), rel=1e-9)
 
     def test_sweep_table(self):
         rows = threshold_sweep([10, 25], [1.0, 10.0, 20.0])
