@@ -41,9 +41,6 @@ from .errors import (
 )
 from .funding import (
     Contribution,
-    CqfAllocation,
-    MatchOutcome,
-    PoolState,
     ProjectLedger,
     compute_k,
     cqf_allocate,
@@ -99,18 +96,15 @@ __all__ = [
     "CollusionThresholds",
     "Contribution",
     "ContributionGraph",
-    "CqfAllocation",
     "DispersionStats",
     "DomainError",
     "EquilibriumResult",
     "LambdaReport",
     "LedgerFormatError",
-    "MatchOutcome",
     "NoMatchableProjectsError",
     "PayoffMatrix",
     "PlannerResult",
     "PoolEvent",
-    "PoolState",
     "ProjectLedger",
     "RoundConfig",
     "RoundTrajectory",

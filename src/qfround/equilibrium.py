@@ -30,6 +30,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, LedgerFormatError
+from .funding import _total
 from .ledger import positive_field, read_rows
 
 __all__ = [
@@ -98,14 +99,6 @@ def _funding(k: float, s: float, c: float) -> float:
 def _sums(amounts: Sequence[float]) -> tuple[float, float]:
     """A project's square-root sum and plain sum of its contribution ``amounts``."""
     return math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts)
-
-
-def _total(values) -> float:
-    """``math.fsum`` of ``values``, or inf once a term or the sum passes the largest float."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
 
 
 def _foc(

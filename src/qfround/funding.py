@@ -34,9 +34,8 @@ __all__ = [
     "Contribution",
     "ContributionColumns",
     "ProjectLedger",
-    "MatchOutcome",
-    "PoolState",
-    "CqfAllocation",
+    "ProjectReport",
+    "CategoryReport",
     "check_record",
     "group_ledgers",
     "qf_target",
@@ -46,6 +45,15 @@ __all__ = [
     "compute_k",
     "cqf_allocate",
 ]
+
+
+def _total(values) -> float:
+    """``math.fsum`` of ``values``, or inf once a term or the sum passes the largest float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
 
 def check_record(amount, day) -> None:
     """Raise DomainError unless ``amount`` is a positive finite number and
@@ -203,6 +211,8 @@ class ContributionColumns:
         rounding, and a pair with three or more is summed with ``math.fsum``.
         Returns the pairs' contributor codes and amounts in key order, each
         project's offsets into them, and each project's ``fsum`` of its records.
+        Raises DomainError for a project whose records sum past the largest
+        float; a pair's sum past it is part of its project's.
         """
         import numpy as np
 
@@ -213,12 +223,16 @@ class ContributionColumns:
         keys, records = keys[order], np.frombuffer(self.amounts, dtype=np.float64)[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         ends = np.append(starts[1:], len(keys))
-        sums = np.add.reduceat(records, starts)
+        with np.errstate(over="ignore"):
+            sums = np.add.reduceat(records, starts)
         for pair in np.flatnonzero(ends - starts >= 3).tolist():
-            sums[pair] = math.fsum(records[starts[pair]:ends[pair]].tolist())
+            sums[pair] = _total(records[starts[pair]:ends[pair]].tolist())
         project_keys = np.arange(len(self.project_codes) + 1) * width
         bounds = np.searchsorted(keys, project_keys).tolist()
-        totals = [math.fsum(records[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        totals = [_total(records[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        if math.inf in totals:
+            project = list(self.project_codes)[totals.index(math.inf)]
+            raise DomainError(f"contributions to project {project!r} sum past the largest float")
         pairs = keys[starts]
         return pairs % width, sums, np.searchsorted(pairs, project_keys).tolist(), totals
 
@@ -284,46 +298,47 @@ def marginal_match(ledger: ProjectLedger, new_amount: float) -> float:
 def compute_k(ledgers: Iterable[ProjectLedger], pool: float) -> float:
     """Pool-scaling constant k = (sum of required matches) / pool.
 
-    k < 1 means the pool exceeds requirements.  Raises
-    NoMatchableProjectsError when the total requirement is zero (1/k would
-    be undefined) and DomainError for a nonpositive pool.
+    k < 1 means the pool exceeds requirements, and a total requirement past
+    the largest float gives k = inf.  Raises NoMatchableProjectsError when
+    the total requirement is zero (1/k would be undefined) and DomainError
+    for a nonpositive pool.
     """
     if not math.isfinite(pool) or pool <= 0:
         raise DomainError(f"pool must be positive, got {pool!r}")
-    required = math.fsum(matching_requirement(ledger) for ledger in ledgers)
+    required = _total(matching_requirement(ledger) for ledger in ledgers)
     if required <= 0.0:
         raise NoMatchableProjectsError("no matchable projects: total required match is zero")
     return required / pool
 
 
 @dataclass(frozen=True)
-class MatchOutcome:
-    """Funding outcome for one project under the pool-constrained rule."""
+class ProjectReport:
+    """One project's row; its fields are the per-project keys and columns of ``allocate``."""
 
     project_id: str
+    contributors: int
+    total: float
     f_qf: float
     m_qf: float
     m_actual: float
     f_actual: float
+    lambda_p: float | None
 
 
 @dataclass(frozen=True)
-class PoolState:
-    """A category pool together with its scaling constant."""
+class CategoryReport:
+    """One category's block; its fields are the keys of ``allocate``'s categories."""
 
     category: str
     pool: float
-    k: float
-
-
-@dataclass(frozen=True)
-class CqfAllocation:
-    outcomes: tuple[MatchOutcome, ...]
-    pool_state: PoolState
+    k: float | None
+    cap_at_target: bool
     surplus: float
+    degenerate: bool
+    projects: tuple[ProjectReport, ...]
 
-    def by_project(self) -> dict[str, MatchOutcome]:
-        return {o.project_id: o for o in self.outcomes}
+    def by_project(self) -> dict[str, ProjectReport]:
+        return {p.project_id: p for p in self.projects}
 
 
 def cqf_allocate(
@@ -332,13 +347,14 @@ def cqf_allocate(
     *,
     category: str = "",
     cap_at_target: bool = False,
-) -> CqfAllocation:
+) -> CategoryReport:
     """Distribute ``pool`` across projects by scaled quadratic-rule matches.
 
     Each project receives M = (1/k) * requirement and in total
     F = M + private contributions.  With ``cap_at_target`` and k < 1 the
     match is capped at the requirement itself and the leftover pool is
-    reported as surplus instead of being scaled up.
+    reported as surplus instead of being scaled up.  Rows follow
+    ``ledgers`` and leave ``lambda_p`` None.
     """
     seen: set[str] = set()
     for ledger in ledgers:
@@ -348,15 +364,13 @@ def cqf_allocate(
     k = compute_k(ledgers, pool)
     capped = cap_at_target and k < 1.0
     scale = 1.0 if capped else 1.0 / k
-    outcomes = []
+    rows = []
     for ledger in ledgers:
-        target = qf_target(ledger)
         requirement = matching_requirement(ledger)
         match = scale * requirement
-        outcomes.append(
-            MatchOutcome(ledger.project_id, target, requirement, match, match + ledger.total)
-        )
-    surplus = 0.0
-    if capped:
-        surplus = pool - math.fsum(o.m_actual for o in outcomes)
-    return CqfAllocation(tuple(outcomes), PoolState(category, pool, k), surplus)
+        rows.append(ProjectReport(
+            ledger.project_id, ledger.contributor_count, ledger.total,
+            qf_target(ledger), requirement, match, match + ledger.total, None,
+        ))
+    surplus = pool - math.fsum(r.m_actual for r in rows) if capped else 0.0
+    return CategoryReport(category, pool, k, cap_at_target, surplus, False, tuple(rows))

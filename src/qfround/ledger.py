@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, LedgerFormatError
-from .funding import ContributionColumns, check_record
+from .funding import ContributionColumns, _total, check_record
 
 # numpy is imported inside the kernels that use it, so a command that never
 # reaches one does not pay for its import.
@@ -192,19 +192,24 @@ class TeamRoster:
 
 
 def load_roster(path) -> TeamRoster:
+    """Read project teams from a CSV with header project_id,member_id; a row needs both ids."""
     members: dict[str, set[str]] = {}
-    for _line, (project, member) in read_rows(path, TEAMS_COLUMNS):
+    for line, (project, member) in read_rows(path, TEAMS_COLUMNS):
         project = (project or "").strip()
         member = (member or "").strip()
-        if project and member:
-            members.setdefault(project, set()).add(member)
+        if not project or not member:
+            raise LedgerFormatError(f"{path}:{line}: missing project or member id")
+        members.setdefault(project, set()).add(member)
     return TeamRoster({project: frozenset(team) for project, team in members.items()})
 
 
-def _positive_by_key(path, key: str, column: str) -> dict[str, float]:
+def _positive_by_key(path, key: str, column: str, *, required: bool) -> dict[str, float]:
+    """``column``'s positive value per distinct ``key``; with ``required`` an empty key is an error."""
     values: dict[str, float] = {}
     for line, (name, text) in read_rows(path, (key, column)):
         name = (name or "").strip()
+        if required and not name:
+            raise LedgerFormatError(f"{path}:{line}: missing {key}")
         if name in values:
             raise LedgerFormatError(f"{path}:{line}: duplicate {key} {name!r}")
         values[name] = positive_field(path, line, text, column)
@@ -213,12 +218,12 @@ def _positive_by_key(path, key: str, column: str) -> dict[str, float]:
 
 def load_pools(path) -> dict[str, float]:
     """Read category pools from a CSV with header category,pool."""
-    return _positive_by_key(path, "category", "pool")
+    return _positive_by_key(path, "category", "pool", required=False)
 
 
 def load_budgets(path) -> dict[str, float]:
     """Read contributor budgets from a CSV with header contributor_id,budget."""
-    return _positive_by_key(path, "contributor_id", "budget")
+    return _positive_by_key(path, "contributor_id", "budget", required=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +274,8 @@ def build_graph(
     among the sorted reverse keys.  An edge's amount is the sum of its
     records in record order: ``np.add.reduceat`` sums one or two records,
     whose sum does not depend on their order, and an edge of three or more
-    is summed in Python after its rows are put back in record order.
+    is summed in Python after its rows are put back in record order.  An
+    edge whose amount passes the largest float raises DomainError.
     """
     import numpy as np
 
@@ -298,7 +304,8 @@ def build_graph(
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(amounts[order], starts) if len(keys) else amounts
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(amounts[order], starts) if len(keys) else amounts
     ends = np.append(starts[1:], len(keys))
     for edge in np.flatnonzero(ends - starts >= 3).tolist():
         total = 0.0
@@ -307,6 +314,11 @@ def build_graph(
         sums[edge] = total
     keys = keys[starts]
     sources, targets = np.divmod(keys, width)
+    finite = np.isfinite(sums)
+    if not finite.all():
+        edge = int(np.argmin(finite))
+        raise DomainError(f"contributions from the team of project {nodes[sources[edge]]!r} "
+                          f"to project {nodes[targets[edge]]!r} sum past the largest float")
     # B->A is an edge exactly when A->B's key is among the reverse keys;
     # -1 is no key, so a key past the last reverse key is not found
     reverse = np.sort(targets * width + sources)
@@ -323,17 +335,22 @@ class SlopeFit:
 
 
 def _ols(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit | None:
+    """The least-squares line, or None for fewer than two points, one x, or a sum past the largest float."""
     n = len(xs)
     if n < 2:
         return None
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    var_x = math.fsum((x - mean_x) ** 2 for x in xs)
+    try:
+        mean_x = math.fsum(xs) / n
+        mean_y = math.fsum(ys) / n
+        var_x = math.fsum((x - mean_x) ** 2 for x in xs)
+        cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    except (OverflowError, ValueError):  # a square or a sum past the largest float, or inf - inf
+        return None
     if var_x == 0.0:
         return None
-    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = cov / var_x
-    return SlopeFit(slope, mean_y - slope * mean_x, n)
+    intercept = mean_y - slope * mean_x
+    return SlopeFit(slope, intercept, n) if math.isfinite(slope) and math.isfinite(intercept) else None
 
 
 @dataclass(frozen=True)
@@ -376,7 +393,7 @@ def _per_node(sources: np.ndarray, amounts: np.ndarray, n: int, weighted: bool) 
         return np.bincount(sources, minlength=n).astype(float).tolist()
     bounds = np.searchsorted(sources, np.arange(n + 1)).tolist()
     amounts = amounts.tolist()
-    return [math.fsum(amounts[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [_total(amounts[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> ReciprocityReport:
@@ -395,6 +412,9 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
         _per_node(graph.sources[edges], graph.amounts[edges], len(graph.nodes), weighted)
         for edges in (slice(None), graph.mutual, cross, graph.mutual & cross)
     ]
+    if math.inf in columns[0]:  # every other column's sums are parts of these
+        project = graph.nodes[columns[0].index(math.inf)]
+        raise DomainError(f"contributions from the team of project {project!r} sum past the largest float")
     rows = tuple(map(ProjectReciprocity, graph.nodes, graph.labels, *columns))
     active = [row for row in rows if row.outdegree > 0]
     slope = _ols([r.outdegree for r in active], [r.reciprocal for r in active])

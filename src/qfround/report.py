@@ -4,44 +4,17 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .efficiency import check_k, dispersion, lambda_p, lambda_report
 from .errors import DomainError, NoMatchableProjectsError
-from .funding import MatchOutcome, ProjectLedger, compute_k, cqf_allocate, matching_requirement, qf_target
+from .funding import CategoryReport, ProjectLedger, ProjectReport, compute_k, cqf_allocate, qf_target
 from .ledger import field_dict
 
 __all__ = ["K_POLICY", "ProjectReport", "CategoryReport", "AllocationReport", "build_report", "diagnose"]
 
 #: lambda_p is evaluated at each category's end-of-round k.
 K_POLICY = "final"
-
-
-@dataclass(frozen=True)
-class ProjectReport:
-    """One project's row; its fields are the per-project keys and columns of ``allocate``."""
-
-    project_id: str
-    contributors: int
-    total: float
-    f_qf: float
-    m_qf: float
-    m_actual: float
-    f_actual: float
-    lambda_p: float | None
-
-
-@dataclass(frozen=True)
-class CategoryReport:
-    """One category's block; its fields are the keys of ``allocate``'s categories."""
-
-    category: str
-    pool: float
-    k: float | None
-    cap_at_target: bool
-    surplus: float
-    degenerate: bool
-    projects: tuple[ProjectReport, ...]
 
 
 @dataclass(frozen=True)
@@ -94,26 +67,22 @@ def build_report(
     blocks = []
     for category, pool, members in _by_category(ledgers, pools):
         try:
-            allocation = cqf_allocate(members, pool, category=category, cap_at_target=cap_at_target)
-            k = check_k(allocation.pool_state.k, f"category {category!r}: ")
-            surplus, outcomes = allocation.surplus, allocation.by_project()
+            block = cqf_allocate(members, pool, category=category, cap_at_target=cap_at_target)
         except NoMatchableProjectsError:
             if strict:
                 raise
-            k, surplus, outcomes = None, pool, {}
-        projects = []
-        for l in members:
-            # A degenerate category (k=None) pays no match.
-            o = outcomes.get(l.project_id) or MatchOutcome(
-                l.project_id, qf_target(l), matching_requirement(l), 0.0, l.total
-            )
-            projects.append(ProjectReport(
-                l.project_id, l.contributor_count, l.total, o.f_qf, o.m_qf, o.m_actual, o.f_actual,
-                lambda_p(l, k) if k is not None and l.contributor_count else None,
-            ))
-        blocks.append(
-            CategoryReport(category, pool, k, cap_at_target, surplus, k is None, tuple(projects))
-        )
+            # No project of a degenerate category needs a match, and none gets one.
+            rows = [
+                ProjectReport(l.project_id, l.contributor_count, l.total, qf_target(l), 0.0, 0.0, l.total, None)
+                for l in members
+            ]
+            blocks.append(CategoryReport(category, pool, None, cap_at_target, pool, True, tuple(rows)))
+            continue
+        k = check_k(block.k, f"category {category!r}: ")
+        rows = [ProjectReport(r.project_id, r.contributors, r.total, r.f_qf, r.m_qf, r.m_actual, r.f_actual,
+                              lambda_p(l, k) if l.contributor_count else None)
+                for r, l in zip(block.projects, members)]
+        blocks.append(replace(block, projects=tuple(rows)))
     return AllocationReport(tuple(blocks))
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError, LedgerFormatError
-from .funding import ContributionColumns, check_record, required_match
+from .funding import ContributionColumns, _total, check_record, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_records, write_rows
 from .report import AllocationReport, build_report
 
@@ -453,10 +453,7 @@ def run_round(
 
         m_qf = {p: state.requirement(p) for p in sorted(known)}
         for category in config.categories:
-            try:
-                required[category.name] = need = math.fsum(m_qf[p] for p in category.projects)
-            except OverflowError:
-                need = math.inf
+            required[category.name] = need = _total(m_qf[p] for p in category.projects)
             if _k(need, pools[category.name]) == math.inf:
                 raise DomainError(f"day {day}: category {category.name!r} requires {need!r} of pool "
                                   f"{pools[category.name]!r}, so k is not finite")
@@ -545,12 +542,14 @@ def deficit_curve(trajectory: RoundTrajectory) -> DeficitCurve:
     ys = np.array([p.m_qf for p in points], dtype=float)
     fit = None
     if len(points) >= 3 and len(set(xs.tolist())) >= 3:
-        coeffs = np.polyfit(xs, ys, 2)
-        predicted = np.polyval(coeffs, xs)
-        ss_res = float(np.sum((ys - predicted) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-        fit = QuadraticFit(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), r_squared)
+        with np.errstate(over="ignore", invalid="ignore"):  # sums past the largest float leave no fit
+            coeffs = np.polyfit(xs, ys, 2)
+            predicted = np.polyval(coeffs, xs)
+            ss_res = float(np.sum((ys - predicted) ** 2))
+            ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+        if math.isfinite(ss_res) and math.isfinite(ss_tot):
+            r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+            fit = QuadraticFit(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), r_squared)
     return DeficitCurve(tuple(points), fit)
 
 

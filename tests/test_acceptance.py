@@ -177,7 +177,7 @@ def test_criterion_04_budget_balance_and_event_jump():
             continue
         pool = rng.uniform(0.1, 500.0)
         allocation = cqf_allocate(ledgers, pool)
-        assert math.fsum(o.m_actual for o in allocation.outcomes) == pytest.approx(pool, abs=1e-6)
+        assert math.fsum(o.m_actual for o in allocation.projects) == pytest.approx(pool, abs=1e-6)
 
     agents = [
         AgentSpec(f"f{i}", "honest", budget=2.0, activity=1.0, fixed_amount=2.0, projects=("p1",))

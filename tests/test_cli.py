@@ -7,6 +7,8 @@ import json
 import math
 import random
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import diagnose_oracle
@@ -21,6 +23,8 @@ from qfround.funding import Contribution
 from qfround.ledger import load_contributions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+#: Inputs whose sums pass the largest float, which CI's installed-script job replays too.
+OVERFLOW = Path(__file__).resolve().parent / "data" / "overflow"
 #: The allocate and diagnose golden inputs, which CI's installed-script job replays too.
 CONTRIBUTIONS = (GOLDEN / "allocate" / "contributions.csv").read_text(encoding="utf-8")
 POOLS = (GOLDEN / "allocate" / "pools.csv").read_text(encoding="utf-8")
@@ -490,6 +494,8 @@ class TestEquilibriumCommand:
         assert captured.out == ""
 
 
+SAMPLE_ROUND_PATH = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
+SAMPLE_ROUND = json.loads(SAMPLE_ROUND_PATH.read_text(encoding="utf-8"))
 SIM_CONFIG = {
     "seed": 5,
     "duration_days": 6,
@@ -597,9 +603,7 @@ class TestSimulate:
 
 class TestSampleRound:
     def test_shipped_config_shows_the_event_drop(self, tmp_path, capsys):
-        from pathlib import Path
-
-        config = Path(__file__).resolve().parent.parent / "sample_rounds" / "pool_increase_round.json"
+        config = SAMPLE_ROUND_PATH
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
         capsys.readouterr()
@@ -673,6 +677,31 @@ class TestReciprocal:
 VALUATIONS = "contributor_id,project_id,family,scale\na,p1,sqrt,2.0\nb,p1,sqrt,2.0\n"
 
 
+class TestSumsPastTheLargestFloat:
+    """Each overflow input exits 1 with one error line and no warning."""
+
+    PROJECT = "contributions to project 'p1' sum past the largest float"
+    EDGE = "contributions from the team of project 'p4' to project 'p1' sum past the largest float"
+    TEAM = "contributions from the team of project 'p4' sum past the largest float"
+    K = "category 'main': k must be in [2**-52, inf) for lambda_p, got inf"
+
+    @pytest.mark.parametrize("command", ["allocate", "diagnose", "reciprocal"])
+    @pytest.mark.parametrize("name, message, weighted_message", [
+        ("pair", PROJECT, EDGE),
+        ("project", PROJECT, EDGE),
+        ("requirement", K, TEAM),
+    ], ids=["pair", "project", "requirement"])
+    def test_one_error_line(self, tmp_path, capsys, command, name, message, weighted_message):
+        argv = [command, "--contributions", str(OVERFLOW / f"{name}.csv")]
+        if command == "reciprocal":
+            argv += ["--teams", str(OVERFLOW / "teams.csv"), "--out-dir", str(tmp_path / "out"), "--weighted"]
+            message = weighted_message
+        else:
+            argv += ["--pools", str(OVERFLOW / "pools.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestMalformedRows:
     """Bad values and repeated keys in pools, budgets and valuations files
     are data errors: exit code 1 and a ``path:line: reason`` message."""
@@ -700,8 +729,9 @@ class TestMalformedRows:
             ("contributor_id,budget\na,nan\n", 2),
             ("contributor_id,budget\na,1\nb,-1\n", 3),
             ("contributor_id,budget\na,1\na,2\n", 3),
+            ("contributor_id,budget\na,1\n ,5\n", 3),
         ],
-        ids=["non_numeric", "non_finite", "non_positive", "duplicate_contributor"],
+        ids=["non_numeric", "non_finite", "non_positive", "duplicate_contributor", "missing_contributor"],
     )
     def test_bad_budgets(self, tmp_path, capsys, text, line):
         valuations = tmp_path / "valuations.csv"
@@ -711,6 +741,16 @@ class TestMalformedRows:
         argv = ["equilibrium", "--valuations", str(valuations), "--k", "1.0", "--budgets", str(budgets)]
         assert main(argv) == 1
         assert f"{budgets}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [",bob", "p1,", "p1", " , "], ids=["project", "member", "short", "both"])
+    def test_team_row_without_an_id(self, round_files, tmp_path, capsys, row):
+        contributions, _pools = round_files
+        teams = tmp_path / "teams.csv"
+        teams.write_text(TEAMS + row + "\n", encoding="utf-8")
+        argv = ["reciprocal", "--contributions", str(contributions), "--teams", str(teams),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {teams}:4: missing project or member id\n")
 
     @pytest.mark.parametrize(
         "row, line",
@@ -1056,6 +1096,23 @@ class TestFuzz:
                 text = json.dumps(data)
             config.write_text(text, encoding="utf-8")
             self.run(capsys, argv, text)
+
+    @pytest.mark.parametrize("config", [SIM_CONFIG, SAMPLE_ROUND], ids=["sim_config", "sample_round"])
+    def test_round_file_extreme_values(self, tmp_path, capsys, config):
+        """Each extreme finite number in turn at every numeric key."""
+        base = json.dumps(config)
+        path = tmp_path / "round.json"
+        argv = ["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+        for *parents, key in value_paths(config):
+            number = reduce(getitem, parents, config)[key]
+            if isinstance(number, bool) or not isinstance(number, (int, float)):
+                continue
+            for value in self.EXTREME:
+                data = json.loads(base)
+                reduce(getitem, parents, data)[key] = float(value)
+                text = json.dumps(data)
+                path.write_text(text, encoding="utf-8")
+                self.run(capsys, argv, text)
 
     @staticmethod
     def garble(rng, text, values) -> bytes:

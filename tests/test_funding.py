@@ -167,11 +167,34 @@ class TestComputeK:
         with pytest.raises(DomainError):
             compute_k([ledger(1, 1)], -3.0)
 
+    def test_total_requirement_past_the_largest_float_reads_inf(self):
+        """Each project requires 8e307; three of them pass the largest float."""
+        ledgers = [ledger(4e307, 4e307, project=f"p{i}") for i in range(3)]
+        assert compute_k(ledgers, 1e308) == math.inf
+
+
+class TestSumsPastTheLargestFloat:
+    """Records whose sum passes the largest float stop the ledgers, naming the project."""
+
+    @pytest.mark.parametrize("records", [
+        [("u1", 1e308)] * 3,
+        [("u1", 1e308), ("u1", 1e308), ("u2", 1.0)],
+        [("u1", 1e308), ("u2", 1e308)],
+        [("u1", 1e308), ("u2", 1e308), ("u3", 1e308)],
+    ], ids=["pair_of_three", "pair_of_two", "project_of_two", "project_of_three"])
+    def test_ledgers_name_the_project(self, records):
+        contributions = [Contribution("a", "p0", 1.0)] + [Contribution(c, "p1", x) for c, x in records]
+        with pytest.raises(DomainError, match="^contributions to project 'p1' sum past the largest float$"):
+            group_ledgers(contributions, {})
+        # a sum up to the largest float is kept
+        [kept] = group_ledgers([Contribution("u1", "p1", 1e308), Contribution("u1", "p1", 7e307)], {})
+        assert kept.amounts == (kept.total,) == (1e308 + 7e307,)
+
 
 class TestCqfAllocate:
     def test_hand_worked_two_projects(self):
         allocation = cqf_allocate([ledger(1, 1, project="p1"), ledger(4, project="p2")], 1.0)
-        assert allocation.pool_state.k == pytest.approx(2.0, rel=1e-12)
+        assert allocation.k == pytest.approx(2.0, rel=1e-12)
         by_project = allocation.by_project()
         assert by_project["p1"].m_actual == pytest.approx(1.0, rel=1e-12)
         assert by_project["p2"].m_actual == pytest.approx(0.0, abs=1e-12)
@@ -182,27 +205,27 @@ class TestCqfAllocate:
         ledgers = [ledger(1, 1, project="p1"), ledger(2, 3, project="p2")]
         pool = sum(matching_requirement(l) for l in ledgers)
         allocation = cqf_allocate(ledgers, pool)
-        assert allocation.pool_state.k == pytest.approx(1.0, rel=1e-12)
-        for outcome in allocation.outcomes:
+        assert allocation.k == pytest.approx(1.0, rel=1e-12)
+        for outcome in allocation.projects:
             assert outcome.m_actual == pytest.approx(outcome.m_qf, rel=1e-12)
 
     def test_generous_pool_scales_up(self):
         allocation = cqf_allocate([ledger(1, 1)], 4.0)
-        assert allocation.pool_state.k == pytest.approx(0.5, rel=1e-12)
-        assert allocation.outcomes[0].m_actual == pytest.approx(4.0, rel=1e-12)
-        assert allocation.outcomes[0].f_actual == pytest.approx(6.0, rel=1e-12)
+        assert allocation.k == pytest.approx(0.5, rel=1e-12)
+        assert allocation.projects[0].m_actual == pytest.approx(4.0, rel=1e-12)
+        assert allocation.projects[0].f_actual == pytest.approx(6.0, rel=1e-12)
         assert allocation.surplus == 0.0
 
     def test_cap_at_target_reports_surplus(self):
         allocation = cqf_allocate([ledger(1, 1)], 4.0, cap_at_target=True)
-        assert allocation.outcomes[0].m_actual == pytest.approx(2.0, rel=1e-12)
-        assert allocation.outcomes[0].f_actual == pytest.approx(4.0, rel=1e-12)
+        assert allocation.projects[0].m_actual == pytest.approx(2.0, rel=1e-12)
+        assert allocation.projects[0].f_actual == pytest.approx(4.0, rel=1e-12)
         assert allocation.surplus == pytest.approx(2.0, rel=1e-12)
 
     def test_cap_flag_inert_when_pool_binding(self):
         capped = cqf_allocate([ledger(1, 1)], 1.0, cap_at_target=True)
         literal = cqf_allocate([ledger(1, 1)], 1.0)
-        assert capped.outcomes == literal.outcomes
+        assert capped.projects == literal.projects
         assert capped.surplus == 0.0
 
     @given(
@@ -217,8 +240,8 @@ class TestCqfAllocate:
         if sum(matching_requirement(l) for l in ledgers) <= 0:
             return
         allocation = cqf_allocate(ledgers, pool)
-        assert math.fsum(o.m_actual for o in allocation.outcomes) == pytest.approx(pool, abs=1e-6)
-        for outcome, project in zip(allocation.outcomes, ledgers):
+        assert math.fsum(o.m_actual for o in allocation.projects) == pytest.approx(pool, abs=1e-6)
+        for outcome, project in zip(allocation.projects, ledgers):
             assert outcome.f_qf == pytest.approx(outcome.m_qf + project.total, rel=1e-9)
             assert outcome.f_actual == pytest.approx(outcome.m_actual + project.total, rel=1e-9)
             assert outcome.f_qf >= project.total - 1e-12
@@ -241,8 +264,8 @@ class TestCqfAllocate:
         ledgers = [ledger(2, 5, project="p1"), ledger(1, 1, 1, project="p2")]
         allocation = cqf_allocate(ledgers, 7.0, category="infra")
         required = sum(matching_requirement(l) for l in ledgers)
-        assert allocation.pool_state.category == "infra"
-        assert allocation.pool_state.k == pytest.approx(required / 7.0, rel=1e-9)
+        assert allocation.category == "infra"
+        assert allocation.k == pytest.approx(required / 7.0, rel=1e-9)
 
 
 class TestLedgerType:
@@ -360,7 +383,7 @@ class TestAllocationInvariances:
         before = allocate_records(records, pool)
         after = cqf_allocate(group_ledgers(shuffled, {})[::-1], pool)
         assert after.by_project() == before.by_project()
-        assert after.pool_state == before.pool_state
+        assert after.k == before.k
         assert after.surplus == before.surplus
 
     @given(records_strategy, st.floats(min_value=0.01, max_value=0.99), st.integers(0, 19),
@@ -378,7 +401,7 @@ class TestAllocationInvariances:
         ] + records[index + 1:]
         before = allocate_records(records, pool)
         after = allocate_records(split, pool)
-        assert after.pool_state.k == pytest.approx(before.pool_state.k, rel=1e-12)
+        assert after.k == pytest.approx(before.k, rel=1e-12)
         for project, outcome in before.by_project().items():
             other = after.by_project()[project]
             for name in ("f_qf", "m_qf", "m_actual", "f_actual"):

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import re
 import statistics
 from collections import Counter
 
@@ -22,6 +23,7 @@ from qfround.ledger import (
     TeamRoster,
     build_graph,
     cross_category_stats,
+    load_budgets,
     load_contributions,
     load_pools,
     load_roster,
@@ -226,6 +228,14 @@ class TestRosterAndPools:
         with pytest.raises(DomainError):
             load_pools(path)
 
+    def test_only_budgets_need_a_key(self, tmp_path):
+        """An empty category is a category; an empty contributor id is missing."""
+        path = tmp_path / "keys.csv"
+        path.write_text("category,contributor_id,pool,budget\n,,5,5\n", encoding="utf-8")
+        assert load_pools(path) == {"": 5.0}
+        with pytest.raises(LedgerFormatError, match=f"^{re.escape(str(path))}:2: missing contributor_id$"):
+            load_budgets(path)
+
 
 def two_team_graph():
     roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
@@ -251,6 +261,14 @@ def self_support(graph) -> dict[str, int]:
 
 
 class TestBuildGraph:
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_edge_past_the_largest_float_names_its_ends(self, count):
+        roster = TeamRoster({"A": frozenset({"a1", "a2"}), "B": frozenset({"b1"})})
+        records = [("a1", "A", 1.0)] + [(f"a{i % 2 + 1}", "B", 1e308) for i in range(count)]
+        message = "^contributions from the team of project 'A' to project 'B' sum past the largest float$"
+        with pytest.raises(DomainError, match=message):
+            build_graph(columns_of(records), roster, {})
+
     def test_disjoint_teams_no_edges(self):
         roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
         graph = build_graph(columns_of([("stranger", "A", 1.0)]), roster, {})
@@ -401,6 +419,22 @@ class TestReciprocityStats:
         assert by_id["A"].outdegree == pytest.approx(2.0)
         assert by_id["A"].reciprocal == pytest.approx(2.0)
         assert by_id["B"].outdegree == pytest.approx(1.0)
+
+    def test_weighted_slope_past_the_largest_float_is_absent(self):
+        """Outdegrees 1e300 and 3e300 are finite, but their squared deviations are not."""
+        roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
+        graph = build_graph(columns_of([("a1", "B", 1e300), ("b1", "A", 3e300)]), roster, {})
+        weighted = reciprocity_stats(graph, weighted=True)
+        assert [row.outdegree for row in weighted.rows] == [1e300, 3e300]
+        assert weighted.slope is weighted.cross_slope_total_denominator is None
+
+    def test_weighted_outdegree_past_the_largest_float(self):
+        roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"}), "C": frozenset({"c1"})})
+        graph = build_graph(columns_of([("a1", "B", 1e308), ("a1", "C", 1e308)]), roster, {})
+        assert reciprocity_stats(graph).rows[0].outdegree == 2.0
+        message = "^contributions from the team of project 'A' sum past the largest float$"
+        with pytest.raises(DomainError, match=message):
+            reciprocity_stats(graph, weighted=True)
 
 
 class TestCrossCategory:

@@ -1,11 +1,15 @@
 """Tests for the combined allocation report."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qfround.efficiency import lambda_p
 from qfround.errors import DomainError, NoMatchableProjectsError
-from qfround.funding import ProjectLedger
+from qfround.funding import ProjectLedger, cqf_allocate, matching_requirement
 from qfround.report import build_report
 
 
@@ -59,3 +63,22 @@ def test_lambda_uses_category_k():
     # equal pair: lambda = 2k/(k+1)
     assert blocks["a"].projects[0].lambda_p == pytest.approx(1.0, abs=1e-12)  # k = 1
     assert blocks["b"].projects[0].lambda_p == pytest.approx(1.6, abs=1e-12)  # k = 4
+
+
+@given(
+    st.lists(st.lists(st.floats(min_value=0.01, max_value=100.0), max_size=5), min_size=1, max_size=6),
+    st.floats(min_value=0.1, max_value=500.0),
+    st.booleans(),
+)
+@settings(max_examples=100)
+def test_rows_are_cqf_allocate_rows_with_lambda_p(rounds, pool, cap):
+    """build_report fills in each row's lambda_p at the category's k and changes nothing else."""
+    ledgers = [ledger(*amounts, project=f"p{i}") for i, amounts in enumerate(rounds)]
+    assume(math.fsum(map(matching_requirement, ledgers)) > 0.0)
+    block = cqf_allocate(ledgers, pool, category="main", cap_at_target=cap)
+    [reported] = build_report(ledgers[::-1], {"main": pool}, cap_at_target=cap).categories
+    assert replace(reported, projects=()) == replace(block, projects=())
+    assert [replace(row, lambda_p=None) for row in reported.projects] == list(block.projects)
+    assert [row.lambda_p for row in reported.projects] == [
+        lambda_p(l, block.k) if l.contributor_count else None for l in ledgers
+    ]

@@ -412,6 +412,14 @@ class TestOutputs:
         write_deficit_curve(curve, tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_text().startswith("project_id,m_qf,contributor_count")
 
+    def test_deficit_curve_fit_past_the_largest_float_is_absent(self):
+        """Requirements up to 3e300 are finite, but their squared deviations are not."""
+        projects = tuple(f"q{n}" for n in range(2, 7))
+        agents = [fixed(f"{pid}-{i}", 1e299, [pid]) for n, pid in enumerate(projects, 2) for i in range(n)]
+        curve = deficit_curve(run_round(one_category_config(projects=projects, days=2, pool=30.0), agents))
+        assert max(p.m_qf for p in curve.points) == pytest.approx(3e300, rel=1e-12)
+        assert curve.fit is None
+
     def test_mixed_random_round_has_positive_quadratic_term(self):
         # regression sign check: requirements still bend upward in the
         # contributor count even when amounts are all over the place
