@@ -4,16 +4,19 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import planner_oracle
+import solver_reference
 
 from qfround.equilibrium import (
     FAMILIES,
     Valuation,
+    _invert_marginal,
     best_response,
     foc_lhs,
     load_valuations,
@@ -23,6 +26,9 @@ from qfround.equilibrium import (
     welfare,
 )
 from qfround.errors import DomainError, LedgerFormatError
+from qfround.ledger import load_budgets
+
+GOLDEN_GAME = Path(__file__).resolve().parent / "golden" / "equilibrium"
 
 
 def sqrt_val(cid, pid, scale):
@@ -194,6 +200,87 @@ class TestSolverAgainstBisection:
             assert expected <= own * (1.0 + tolerance)
         else:
             assert expected >= own * (1.0 - tolerance)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as the hex of its float, or the type and text of what it raises."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reaching(values, low, high):
+    """One of ``values``, or a power of ten with exponent in [low, high]."""
+    return st.one_of(st.sampled_from(values), _power_of_ten(low, high))
+
+
+#: (family, scale, k, s_others, c_others, start).  k spans [2**-20, 1e9] and
+#: the extremes where k * sqrt(c) rounds to 0 (1e-300, 5e-324) or the bracket
+#: rounds to 1 (1e300); s_others = 0 is the lone closed form.  c_others is a
+#: fraction of s_others**2 or, to reach negative funding at k < 1, any amount.
+REFERENCE_CASES = st.tuples(
+    st.sampled_from(FAMILIES),
+    _reaching((1e-300, 1e300), -3.0, 3.0),
+    st.one_of(
+        st.floats(min_value=-20.0, max_value=math.log2(1e9)).map(lambda e: 2.0**e),
+        st.sampled_from((1e-300, 5e-324, 1e300)),
+    ),
+    _reaching((0.0,), -4.0, 4.0),
+    st.one_of(st.floats(min_value=0.0, max_value=1.0), _power_of_ten(-4.0, 8.0).map(lambda c: -c)),
+    _reaching((0.0, 5e-324, 1e300), -8.0, 8.0),
+).map(lambda t: (*t[:4], t[4] * t[3] * t[3] if t[4] >= 0.0 else -t[4], t[5]))
+
+
+class TestSolverAgainstReference:
+    """The inline kernels evaluate the reference's floating-point operations in
+    its order, so they return the same bits or raise the same error."""
+
+    @given(REFERENCE_CASES)
+    @example(("sqrt", 1.0, 1e300, 1.0, 1.0, 1.0))
+    @example(("log", 1e300, 1e-300, 1.0, 0.5, 5e-324))
+    @example(("sqrt", 1e-300, 5e-324, 1e4, 1e8, 1e300))
+    @example(("log", 2.0, 0.5, 1.0, 1e8, 1.0))
+    @example(("log", 3.0, 2.5, 0.0, 0.0, 0.0))
+    @example(FLAT_CASE)
+    @example(FAR_START_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits(self, case):
+        family, scale, k, s_others, c_others, start = case
+        valuation = Valuation("a", "p", family, scale)
+        args = (valuation, k, s_others, c_others, start)
+        assert _outcome(solve_best_contribution, *args) == _outcome(
+            solver_reference.solve_best_contribution, *args
+        )
+        assert _outcome(foc_lhs, *args) == _outcome(solver_reference.foc_lhs, *args)
+
+    @given(_reaching((0.0, 1e-300, 1e300), -4.0, 4.0), _reaching((0.0, 1e-300, 1e300), -4.0, 4.0),
+           _power_of_ten(-4.0, 4.0))
+    @example(2.0, 3.0, 1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_planner_inversion_same_bits(self, a, b, lam):
+        assert _outcome(_invert_marginal, a, b, lam) == _outcome(solver_reference._invert_marginal, a, b, lam)
+
+
+class TestEvaluationPath:
+    """``best_response`` on the golden game evaluates one ``Valuation.marginal``
+    per first-order-condition evaluation; these are the counts that path makes."""
+
+    @pytest.mark.parametrize("with_budgets, evaluations, iterations", [(False, 1132, 62), (True, 1324, 60)])
+    def test_marginal_calls(self, monkeypatch, with_budgets, evaluations, iterations):
+        calls = []
+        marginal = Valuation.marginal
+
+        def counted(self, funding):
+            calls.append(funding)
+            return marginal(self, funding)
+
+        monkeypatch.setattr(Valuation, "marginal", counted)
+        valuations = load_valuations(GOLDEN_GAME / "valuations.csv")
+        budgets = load_budgets(GOLDEN_GAME / "budgets.csv") if with_budgets else None
+        result = best_response(valuations, 2.5, budgets)
+        assert result.converged
+        assert (len(calls), result.iterations) == (evaluations, iterations)
 
 
 class TestBestResponse:
