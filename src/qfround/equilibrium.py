@@ -85,12 +85,6 @@ class Valuation:
             return math.inf if funding == 0 else self.scale / (2.0 * math.sqrt(funding))
         return self.scale / (1.0 + funding)
 
-    def marginal_decay(self, funding: float) -> float:
-        """-d ln V'(F) / dF, the rate at which the marginal value falls (F > 0)."""
-        if self.family == "sqrt":
-            return 0.5 / funding
-        return 1.0 / (1.0 + funding)
-
 
 def _funding(k: float, s: float, c: float) -> float:
     return (s * s) / k + (1.0 - 1.0 / k) * c
@@ -101,19 +95,17 @@ def _sums(amounts: Sequence[float]) -> tuple[float, float]:
     return math.fsum(math.sqrt(a) for a in amounts), math.fsum(amounts)
 
 
-def _foc(
-    valuation: Valuation, k: float, s_others: float, c_others: float, c: float
-) -> tuple[float, float, float]:
-    """The first-order condition's left side at ``c > 0``, its funding F and its bracket."""
-    root = math.sqrt(c)
-    funding = _funding(k, s_others + root, c_others + c)
-    bracket = 1.0 + s_others / (k * root)
-    return valuation.marginal(funding) * bracket, funding, bracket
-
-
 def foc_lhs(valuation: Valuation, k: float, s_others: float, c_others: float, c: float) -> float:
-    """Left side of the first-order condition at ``c > 0``; it falls monotonically in c."""
-    return _foc(valuation, k, s_others, c_others, c)[0]
+    """Left side of the first-order condition at ``c > 0``; it falls monotonically in c.
+
+    V'(F) * (1 + s_others / (k * sqrt(c))).  ``solve_best_contribution``'s loop
+    repeats these operations in this order, so the two agree to the bit.
+    """
+    root = math.sqrt(c)
+    s = s_others + root
+    funding = (s * s) / k + (1.0 - 1.0 / k) * (c_others + c)
+    bracket = 1.0 + s_others / (k * root)
+    return valuation.marginal(funding) * bracket
 
 
 def solve_best_contribution(
@@ -135,19 +127,31 @@ def solve_best_contribution(
     once no float lies inside the bracket it returns the low end (0 if no f > 1 was seen).
     A k so small that k * sqrt(c) or the funding rounds to 0, or a lone best
     contribution past the largest float, raises DomainError.
+
+    Each evaluation writes ``foc_lhs``'s operations out in the loop, with one
+    ``valuation.marginal`` call, and takes the decay -d ln V'(F) / dF inline.
     """
     if not math.isfinite(k) or k <= 0:
         raise DomainError(f"k must be positive, got {k!r}")
+    sqrt_family = valuation.family == "sqrt"
     try:
         if s_others <= 0.0:
             # Alone on the project the funding formula collapses to F = c, so V'(c) = 1.
-            scales = (valuation.scale if valuation.family == f else 0.0 for f in FAMILIES)
-            return _invert_marginal(*scales, 1.0)
+            if sqrt_family:
+                return _invert_marginal(valuation.scale, 0.0, 1.0)
+            return _invert_marginal(0.0, valuation.scale, 1.0)
+        sqrt, log, exp = math.sqrt, math.log, math.exp
+        marginal = valuation.marginal
+        scaled = 1.0 - 1.0 / k
         c = start if start > 0.0 else 1.0
         lo, hi = 0.0, math.inf  # f > 1 at lo and f < 1 at hi; 0 and inf mean not yet seen
         # Steps of 2 cross all positive floats (about 1455 in ln c) in under 730.
         for _ in range(1000):
-            lhs, funding, bracket = _foc(valuation, k, s_others, c_others, c)
+            root = sqrt(c)
+            s = s_others + root
+            funding = (s * s) / k + scaled * (c_others + c)
+            bracket = 1.0 + s_others / (k * root)
+            lhs = marginal(funding) * bracket
             if lhs > 1.0:
                 lo = c
             else:
@@ -155,12 +159,21 @@ def solve_best_contribution(
             if hi - lo <= 1e-13 * lo:  # both sides seen and close
                 return 0.5 * (lo + hi)
             # d ln f / d ln c, using dF/dc = bracket.
-            slope = c * bracket * valuation.marginal_decay(funding) + 0.5 * (bracket - 1.0) / bracket
-            try:  # lhs is 0 once F is inf
-                step = max(-2.0, min(2.0, math.log(lhs) / slope)) if lhs > 0.0 else -2.0
-            except ZeroDivisionError:  # a huge k leaves the bracket 1 and the decay 0
-                step = 2.0 if lhs > 1.0 else -2.0  # toward the root
-            after = c * math.exp(step)
+            decay = 0.5 / funding if sqrt_family else 1.0 / (1.0 + funding)
+            slope = c * bracket * decay + 0.5 * (bracket - 1.0) / bracket
+            if lhs > 0.0:  # lhs is 0 once F is inf
+                try:
+                    step = log(lhs) / slope
+                except ZeroDivisionError:  # a huge k leaves the bracket 1 and the decay 0
+                    step = 2.0 if lhs > 1.0 else -2.0  # toward the root
+                else:  # clip to +-2 as max(-2.0, min(2.0, step)) does: NaN gives 2
+                    if not step < 2.0:
+                        step = 2.0
+                    elif step <= -2.0:
+                        step = -2.0
+            else:
+                step = -2.0
+            after = c * exp(step)
             if abs(after - c) <= 1e-13 * c:
                 return after
             if lo < after < hi:
@@ -241,10 +254,11 @@ def best_response(
     def sweep_targets() -> dict[tuple[str, str], float]:
         targets: dict[tuple[str, str], float] = {}
         for _, vals, keys in projects:
-            s_all, c_all = _sums([current[key] for key in keys])
-            for v, key in zip(vals, keys):
-                c = current[key]
-                targets[key] = solve_best_contribution(v, k, s_all - math.sqrt(c), c_all - c, c)
+            amounts = [current[key] for key in keys]
+            roots = [math.sqrt(c) for c in amounts]
+            s_all, c_all = math.fsum(roots), math.fsum(amounts)  # as _sums(amounts)
+            for v, key, c, root in zip(vals, keys, amounts, roots):
+                targets[key] = solve_best_contribution(v, k, s_all - root, c_all - c, c)
         return targets
 
     keys_of: dict[str, list[tuple[str, str]]] = {}
@@ -275,7 +289,10 @@ def best_response(
         for key, target in targets.items():
             step = DAMPING * (target - current[key])
             current[key] += step
-            delta = max(delta, abs(step) / max(1.0, target))
+            # delta = max(delta, abs(step) / max(1.0, target)), NaN cases included
+            change = abs(step) / (target if target > 1.0 else 1.0)
+            if change > delta:
+                delta = change
         if delta / DAMPING < TOL:
             converged = True
             break
@@ -323,19 +340,16 @@ def _invert_marginal(a: float, b: float, lam: float) -> float:
         return (a / (2.0 * lam)) ** 2
     if not a:
         return max(0.0, b / lam - 1.0)
-
-    def marginal(funding: float) -> float:
-        return a / (2.0 * math.sqrt(funding)) + b / (1.0 + funding)
-
+    sqrt = math.sqrt
     hi = 1.0
     for _ in range(400):
-        if marginal(hi) < lam:
+        if a / (2.0 * sqrt(hi)) + b / (1.0 + hi) < lam:
             break
         hi *= 2.0
     lo = 0.0
-    while hi - lo > PLANNER_RESOLUTION * max(hi, 1.0):
+    while hi - lo > PLANNER_RESOLUTION * (1.0 if hi < 1.0 else hi):  # max(hi, 1.0)
         mid = 0.5 * (lo + hi)
-        if marginal(mid) > lam:
+        if a / (2.0 * sqrt(mid)) + b / (1.0 + mid) > lam:
             lo = mid
         else:
             hi = mid
