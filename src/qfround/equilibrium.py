@@ -137,9 +137,8 @@ def solve_best_contribution(
     try:
         if s_others <= 0.0:
             # Alone on the project the funding formula collapses to F = c, so V'(c) = 1.
-            if sqrt_family:
-                return _invert_marginal(valuation.scale, 0.0, 1.0)
-            return _invert_marginal(0.0, valuation.scale, 1.0)
+            scales = (valuation.scale, 0.0) if sqrt_family else (0.0, valuation.scale)
+            return _invert_marginal(*scales, 1.0)
         sqrt, log, exp = math.sqrt, math.log, math.exp
         marginal = valuation.marginal
         scaled = 1.0 - 1.0 / k

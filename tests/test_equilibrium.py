@@ -242,6 +242,7 @@ class TestSolverAgainstReference:
     @example(("sqrt", 1e-300, 5e-324, 1e4, 1e8, 1e300))
     @example(("log", 2.0, 0.5, 1.0, 1e8, 1.0))
     @example(("log", 3.0, 2.5, 0.0, 0.0, 0.0))
+    @example(("sqrt", 1.0, 1e-300, 5e3, 0.0, 1e-12))  # an infinite bracket: NaN slope, step +2
     @example(FLAT_CASE)
     @example(FAR_START_CASE)
     @settings(max_examples=300, deadline=None)
