@@ -182,15 +182,18 @@ def test_collusion_one_row_stdout_bytes(capsys):
     assert_stdout_golden(capsys, "collusion_n10_k2.5.txt")
 
 
-@pytest.mark.usefixtures("no_records")
-@pytest.mark.parametrize("name, extra", [
+EQUILIBRIUM_CASES = [
     ("equilibrium.json", ["--k", "2.5"]),
     ("equilibrium_budgets_planner.json",
      ["--k", "2.5", "--budgets", str(GOLDEN / "equilibrium" / "budgets.csv"), "--planner-pool", "12"]),
     ("equilibrium_k0.5.json", ["--k", "0.5"]),
     ("equilibrium_k1e-3.json", ["--k", "1e-3"]),
     ("equilibrium_k1e300.json", ["--k", "1e300"]),
-])
+]
+
+
+@pytest.mark.usefixtures("no_records")
+@pytest.mark.parametrize("name, extra", EQUILIBRIUM_CASES)
 def test_equilibrium_bytes(tmp_path, capsys, name, extra):
     """The valuations list projects and contributors out of sorted order; with
     the budgets, carol's binds and alice's does not.  k = 0.5 and 1e-3 make
@@ -201,6 +204,41 @@ def test_equilibrium_bytes(tmp_path, capsys, name, extra):
     assert main(argv + extra) == 0
     assert capsys.readouterr().err == ""
     assert_golden(out, f"equilibrium/{name}")
+
+
+def assert_same_fixed_point(got, expected, path="") -> None:
+    """Same keys in the same order, equal strings and booleans, numbers within 1e-9 relative."""
+    if isinstance(expected, dict):
+        assert list(got) == list(expected), path
+        for key, value in expected.items():
+            assert_same_fixed_point(got[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), path
+        for index, (item, value) in enumerate(zip(got, expected)):
+            assert_same_fixed_point(item, value, f"{path}[{index}]")
+    elif isinstance(expected, float):
+        assert got == pytest.approx(expected, rel=1e-9, abs=0), path
+    else:
+        assert type(got) is type(expected) and got == expected, path
+
+
+@pytest.mark.parametrize("name, extra", EQUILIBRIUM_CASES)
+def test_equilibrium_fixed_points(tmp_path, name, extra):
+    """A change to how best response iterates keeps each golden's fixed point:
+    every key, the clamped entries and the planner block exactly, and every
+    other number to 1e-9 relative.  ``iterations`` counts the sweeps taken
+    to get there, so it alone may move."""
+    out = tmp_path / "equilibrium.json"
+    argv = ["equilibrium", "--valuations", str(GOLDEN / "equilibrium" / "valuations.csv"),
+            "--json", str(out)]
+    assert main(argv + extra) == 0
+    got = json.loads(out.read_text())
+    expected = json.loads((GOLDEN / "equilibrium" / name).read_text())
+    assert got["clamped"] == expected["clamped"]
+    assert got.get("planner") == expected.get("planner")
+    assert isinstance(got["iterations"], int)
+    got["iterations"] = expected["iterations"]
+    assert_same_fixed_point(got, expected)
 
 
 #: Reports which of numpy and statistics are loaded after ``import
