@@ -77,8 +77,9 @@ def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | N
     name every column in ``columns`` (extras are ignored; a repeated name
     reads its last column); otherwise, or for an empty file, a file that is
     not UTF-8 text or one that csv cannot parse, LedgerFormatError is raised.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

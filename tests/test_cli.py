@@ -110,6 +110,20 @@ class TestAllocate:
         projects = {p["project_id"]: p for p in block["projects"]}
         assert projects["p1"]["m_actual"] == pytest.approx(2.0)
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, round_files, tmp_path, capsys):
+        """Spreadsheet CSV exports start with a UTF-8 byte-order mark; the
+        report is the one the same files give without it."""
+        contributions, pools = round_files
+        assert main(["allocate", "--contributions", str(contributions), "--pools", str(pools)]) == 0
+        expected = capsys.readouterr()
+        marked = []
+        for path in (contributions, pools):
+            copy = tmp_path / f"bom_{path.name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            marked.append(str(copy))
+        assert main(["allocate", "--contributions", marked[0], "--pools", marked[1]]) == 0
+        assert capsys.readouterr() == expected
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         pools = tmp_path / "pools.csv"
         pools.write_text(POOLS, encoding="utf-8")
