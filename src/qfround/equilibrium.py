@@ -13,10 +13,13 @@ left side; dF/dc equals the bracket, so the slope has a closed form.  A
 project nobody else funds reduces to V_i'(c_i) = 1, which can hit the
 c_i = 0 corner for the log family.
 
-The solver runs simultaneous best-response sweeps damped by 0.5 until the
-largest update, relative to max(1, target), is below tolerance, then one
-undamped simultaneous sweep that sets every entry to its exact best response
-against the profile the damped sweeps reached.  k is exogenous throughout.
+The solver sweeps best responses, undamped, until no entry moves by more
+than the tolerance relative to max(1, target).  The first sweep solves every
+entry against the starting profile; later ones solve each project's
+contributors in turn (Gauss-Seidel), each against the amounts the ones
+before it just took, scaled by their budget factor from the sweep before.
+A last simultaneous sweep then sets every entry to its exact best response
+against the profile reached.  k is exogenous throughout.
 
 Valuations come in two closed-form concave families:
 
@@ -47,9 +50,7 @@ __all__ = [
 ]
 
 FAMILIES = ("sqrt", "log")
-#: Step damping of the best-response sweeps.
-DAMPING = 0.5
-#: best_response converges once every undamped step is below TOL * max(1, target).
+#: best_response converges once every entry moves by less than TOL * max(1, target) in a sweep.
 TOL = 1e-11
 #: The planner resolves the funding of a project valued both by sqrt and by log
 #: to this much (relative above 1), so it funds none below about this amount.
@@ -222,16 +223,23 @@ def best_response(
     max_iter: int = 10_000,
     initial: Mapping[tuple[str, str], float] | None = None,
 ) -> EquilibriumResult:
-    """Damped simultaneous best-response iteration to a fixed point.
+    """Sequential best-response sweeps to a fixed point c = clamp(T(c)).
 
     Projects are independent subproblems; budgets, when given, cap each
     contributor's total by proportional scaling and the affected entries are
     reported in ``clamped`` (their first-order conditions need not hold).
-    A sweep converges when every undamped step is below ``TOL`` times
-    max(1, target): roots are resolved only to a relative step of 1e-13, so
-    an absolute test could never pass for large amounts.  Non-convergence after
-    ``max_iter`` sweeps returns converged=False rather than a silent answer;
-    ``max_iter`` below 1 raises DomainError.
+    The first sweep is simultaneous from zeros or ``initial``.  From the
+    second on, a project's contributors are solved in sorted order, each
+    against the project's amounts with the ones already solved in this sweep
+    at their target times their contributor's budget factor from the last
+    sweep's clamp, so at a fixed point every solve sees the clamped profile.
+    The sweep converges when no clamped target moves its entry by ``TOL``
+    times max(1, target) or more: roots are resolved only to a relative step
+    of 1e-13, so an absolute test could never pass for large amounts.  A last
+    simultaneous sweep sets every entry to its best response against the
+    profile reached.  Non-convergence after ``max_iter`` sweeps returns
+    converged=False rather than a silent answer; ``max_iter`` below 1 raises
+    DomainError.
     ``funds`` and ``aggregate_marginal`` list projects in sorted order.
     """
     if not valuations:
@@ -250,55 +258,62 @@ def best_response(
                 current[key] = float(value)
     projects = [(p, grouped[p], [(v.contributor_id, p) for v in grouped[p]]) for p in sorted(grouped)]
 
-    def sweep_targets() -> dict[tuple[str, str], float]:
+    def sweep_targets(factors: dict[str, float] | None) -> dict[tuple[str, str], float]:
+        """Every entry's best response; simultaneous against ``current`` when
+        ``factors`` is None, else each solve sees the entries solved before it
+        in the project at their targets scaled by their contributor's factor."""
         targets: dict[tuple[str, str], float] = {}
         for _, vals, keys in projects:
             amounts = [current[key] for key in keys]
             roots = [math.sqrt(c) for c in amounts]
             s_all, c_all = math.fsum(roots), math.fsum(amounts)  # as _sums(amounts)
             for v, key, c, root in zip(vals, keys, amounts, roots):
-                targets[key] = solve_best_contribution(v, k, s_all - root, c_all - c, c)
+                target = targets[key] = solve_best_contribution(v, k, s_all - root, c_all - c, c)
+                if factors is not None:  # an entry that does not move leaves both sums' bits
+                    target *= factors.get(key[0], 1.0)
+                    s_all += math.sqrt(target) - root
+                    c_all += target - c
         return targets
 
     keys_of: dict[str, list[tuple[str, str]]] = {}
     for key in sorted(current):  # a contributor's keys in the order its targets are swept
         keys_of.setdefault(key[0], []).append(key)
-    capped = [(keys_of[cid], b) for cid, b in (budgets or {}).items() if cid in keys_of and b > 0]
+    capped = [(cid, keys_of[cid], b) for cid, b in (budgets or {}).items() if cid in keys_of and b > 0]
 
-    def clamp(targets: dict[tuple[str, str], float]) -> set[tuple[str, str]]:
-        hit: set[tuple[str, str]] = set()
-        for keys, budget in capped:
+    def clamp(targets: dict[tuple[str, str], float]) -> dict[str, float]:
+        """Scale each over-budget contributor's targets onto its budget; return the factors by contributor."""
+        factors: dict[str, float] = {}
+        for cid, keys, budget in capped:
             total = 0.0
             for key in keys:
                 total += targets[key]
             if total > budget:
-                factor = budget / total
+                factor = factors[cid] = budget / total
                 for key in keys:
                     targets[key] *= factor
-                hit.update(keys)
-        return hit
+        return factors
 
     iterations = 0
     converged = False
+    factors = None  # the first sweep is simultaneous
     for _ in range(max_iter):
         iterations += 1
-        targets = sweep_targets()
-        clamp(targets)
+        targets = sweep_targets(factors)
+        factors = clamp(targets)
         delta = 0.0
         for key, target in targets.items():
-            step = DAMPING * (target - current[key])
-            current[key] += step
-            # delta = max(delta, abs(step) / max(1.0, target)), NaN cases included
-            change = abs(step) / (target if target > 1.0 else 1.0)
+            # delta = max(delta, abs(target - current) / max(1.0, target)), NaN cases included
+            change = abs(target - current[key]) / (target if target > 1.0 else 1.0)
             if change > delta:
                 delta = change
-        if delta / DAMPING < TOL:
+        current.update(targets)
+        if delta < TOL:
             converged = True
             break
-    # One exact, undamped simultaneous sweep: interior entries land on their
-    # best response against the profile before it, corners on exactly 0.
-    final_targets = sweep_targets()
-    clamped = clamp(final_targets)
+    # One exact simultaneous sweep: interior entries land on their best
+    # response against the profile before it, corners on exactly 0.
+    final_targets = sweep_targets(None)
+    clamped = {key for cid in clamp(final_targets) for key in keys_of[cid]}
     current.update(final_targets)
 
     funds: dict[str, float] = {}

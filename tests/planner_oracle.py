@@ -1,8 +1,10 @@
-"""Reference planner and budget clamp, as ``qfround.equilibrium`` first computed them.
+"""Reference planner and best response, written plainly from their definitions.
 
 The planner inverts each project's summed marginal by re-summing every
 valuation's marginal with ``math.fsum`` at each bisection step, inside the
-bisection on the common multiplier.  ``best_response`` clamps an
+bisection on the common multiplier.  ``best_response`` solves each project's
+contributors one after another (simultaneously in the first and the final
+sweep), keeps the project's sums by adding each entry's move, and clamps an
 over-budget contributor by scanning every target for that contributor's
 keys.  Tests compare the library against both.
 """
@@ -10,7 +12,6 @@ keys.  Tests compare the library against both.
 import math
 
 from qfround.equilibrium import (
-    DAMPING,
     TOL,
     EquilibriumResult,
     PlannerResult,
@@ -95,54 +96,64 @@ def best_response(valuations, k, budgets=None, *, max_iter=10_000):
     grouped = _group_by_project(valuations)
     current = {(v.contributor_id, v.project_id): 0.0 for vals in grouped.values() for v in vals}
 
-    def sweep_targets():
+    def solve_project(vals, project, targets, factors):
+        """Solve the project's contributors in turn.  With ``factors`` (a sequential
+        sweep), each later solve sees the earlier ones at their target times their
+        contributor's factor; without, every solve sees ``current``."""
+        seen = {v.contributor_id: current[(v.contributor_id, project)] for v in vals}
+        s_all = math.fsum(math.sqrt(amount) for amount in seen.values())
+        c_all = math.fsum(seen.values())
+        for v in vals:
+            key = (v.contributor_id, project)
+            old = current[key]
+            targets[key] = solve_best_contribution(
+                v, k, s_all - math.sqrt(old), c_all - old, old,
+            )
+            if factors is not None:
+                new = targets[key] * factors.get(v.contributor_id, 1.0)
+                s_all = s_all + (math.sqrt(new) - math.sqrt(old))
+                c_all = c_all + (new - old)
+
+    def sweep_targets(factors):
         targets = {}
         for project in sorted(grouped):
-            vals = grouped[project]
-            roots = {v.contributor_id: math.sqrt(current[(v.contributor_id, project)]) for v in vals}
-            s_all = math.fsum(roots.values())
-            c_all = math.fsum(current[(v.contributor_id, project)] for v in vals)
-            for v in vals:
-                key = (v.contributor_id, project)
-                targets[key] = solve_best_contribution(
-                    v, k, s_all - roots[v.contributor_id], c_all - current[key],
-                    current[key],
-                )
+            solve_project(grouped[project], project, targets, factors)
         return targets
 
     def clamp(targets):
-        hit = set()
+        """Scale over-budget contributors onto their budgets; return their factors."""
+        factors = {}
         if not budgets:
-            return hit
+            return factors
         totals = {}
         for (cid, _pid), value in targets.items():
             totals[cid] = totals.get(cid, 0.0) + value
         for cid, total in totals.items():
             budget = budgets.get(cid)
             if budget is not None and total > budget > 0:
-                factor = budget / total
+                factors[cid] = budget / total
                 for key in targets:
                     if key[0] == cid:
-                        targets[key] *= factor
-                        hit.add(key)
-        return hit
+                        targets[key] *= factors[cid]
+        return factors
 
     iterations = 0
     converged = False
+    factors = None
     for _ in range(max_iter):
         iterations += 1
-        targets = sweep_targets()
-        clamp(targets)
+        targets = sweep_targets(factors)
+        factors = clamp(targets)
         delta = 0.0
         for key, target in targets.items():
-            step = DAMPING * (target - current[key])
-            current[key] += step
-            delta = max(delta, abs(step) / max(1.0, target))
-        if delta / DAMPING < TOL:
+            delta = max(delta, abs(target - current[key]) / max(1.0, target))
+            current[key] = target
+        if delta < TOL:
             converged = True
             break
-    final_targets = sweep_targets()
-    clamped = clamp(final_targets)
+    final_targets = sweep_targets(None)
+    final_factors = clamp(final_targets)
+    clamped = {key for key in final_targets if key[0] in final_factors}
     current.update(final_targets)
 
     funds = {}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import planner_oracle
 import solver_reference
 
+from qfround import equilibrium
 from qfround.equilibrium import (
     FAMILIES,
     Valuation,
@@ -267,7 +268,7 @@ class TestEvaluationPath:
     """``best_response`` on the golden game evaluates one ``Valuation.marginal``
     per first-order-condition evaluation; these are the counts that path makes."""
 
-    @pytest.mark.parametrize("with_budgets, evaluations, iterations", [(False, 1132, 62), (True, 1324, 60)])
+    @pytest.mark.parametrize("with_budgets, evaluations, iterations", [(False, 274, 15), (True, 445, 21)])
     def test_marginal_calls(self, monkeypatch, with_budgets, evaluations, iterations):
         calls = []
         marginal = Valuation.marginal
@@ -480,6 +481,31 @@ class TestBestResponse:
         with pytest.raises(DomainError, match="funds or welfare pass the largest float"):
             best_response(vals, 1.0)
 
+    def test_entry_far_below_its_start_converges(self):
+        """Beside a sqrt contributor at scale 1e150 the log contributor's best
+        response is many orders below its first target; damped sweeps only
+        halved the gap each time and took 534 sweeps at k = 1."""
+        vals = [log_val("a", "p", 1e150), sqrt_val("b", "p", 1e150)]
+        result = best_response(vals, 1.0, max_iter=50)
+        assert result.converged
+        assert max_foc_residual(vals, result.contributions, 1.0) <= 1e-9
+
+    def test_funds_past_the_largest_float_are_found_in_few_solves(self, monkeypatch):
+        """At k = 1e-300 the golden game's funds pass the largest float; the
+        sweeps settle and reach that error within a few dozen sweeps (damped
+        sweeps ran all 10,000, about 70,000 solves)."""
+        calls = []
+        solve = equilibrium.solve_best_contribution
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(equilibrium, "solve_best_contribution", counted)
+        with pytest.raises(DomainError, match="funds or welfare pass the largest float"):
+            best_response(load_valuations(GOLDEN_GAME / "valuations.csv"), 1e-300)
+        assert 0 < len(calls) < 1000
+
 
 class TestPlanner:
     def test_symmetric_two_projects_split_evenly(self):
@@ -626,6 +652,43 @@ GAMES = st.lists(
     max_size=10,
     unique_by=lambda row: row[:2],
 )
+
+
+def _bits(result):
+    """Every field of a best-response result, floats as their hex, in a fixed order."""
+    def hexed(mapping):
+        return sorted((key, value.hex()) for key, value in mapping.items())
+
+    return (result.converged, result.iterations, result.welfare.hex(), hexed(result.funds),
+            hexed(result.aggregate_marginal), hexed(result.contributions), sorted(result.clamped))
+
+
+class TestSweepOrder:
+    @given(
+        GAMES,
+        st.floats(min_value=0.5, max_value=50.0),
+        st.none() | st.dictionaries(st.sampled_from(("c0", "c1", "c2", "c3")), _power_of_ten(-2.0, 2.0)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_and_budget_order_leave_the_result_bits(self, rows, k, budgets, rng):
+        """Each project's contributors are solved in sorted order, whatever
+        order the valuation rows and the budgets come in."""
+        vals = [Valuation(*row) for row in rows]
+        shuffled = vals[:]
+        rng.shuffle(shuffled)
+        reordered = None
+        if budgets is not None:
+            items = list(budgets.items())
+            rng.shuffle(items)
+            reordered = dict(items)
+        outcomes = []
+        for game, caps in ((vals, budgets), (shuffled, reordered)):
+            try:
+                outcomes.append(_bits(best_response(game, k, caps)))
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestWelfare:
