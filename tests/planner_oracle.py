@@ -3,10 +3,11 @@
 The planner inverts each project's summed marginal by re-summing every
 valuation's marginal with ``math.fsum`` at each bisection step, inside the
 bisection on the common multiplier.  ``best_response`` solves each project's
-contributors one after another (simultaneously in the first and the final
-sweep), keeps the project's sums by adding each entry's move, and clamps an
-over-budget contributor by scanning every target for that contributor's
-keys.  Tests compare the library against both.
+contributors one after another; between the first and the final sweep, which
+solve every entry against the profile before them, each solve sees the ones
+before it at their new amounts, through project sums moved by each entry's
+change.  It clamps an over-budget contributor by scanning every target for
+that contributor's keys.  Tests compare the library against both.
 """
 
 import math
@@ -100,9 +101,9 @@ def best_response(valuations, k, budgets=None, *, max_iter=10_000):
         """Solve the project's contributors in turn.  With ``factors`` (a sequential
         sweep), each later solve sees the earlier ones at their target times their
         contributor's factor; without, every solve sees ``current``."""
-        seen = {v.contributor_id: current[(v.contributor_id, project)] for v in vals}
-        s_all = math.fsum(math.sqrt(amount) for amount in seen.values())
-        c_all = math.fsum(seen.values())
+        amounts = [current[(v.contributor_id, project)] for v in vals]
+        s_all = math.fsum(math.sqrt(amount) for amount in amounts)
+        c_all = math.fsum(amounts)
         for v in vals:
             key = (v.contributor_id, project)
             old = current[key]

@@ -483,8 +483,8 @@ class TestBestResponse:
 
     def test_entry_far_below_its_start_converges(self):
         """Beside a sqrt contributor at scale 1e150 the log contributor's best
-        response is many orders below its first target; damped sweeps only
-        halved the gap each time and took 534 sweeps at k = 1."""
+        response is many orders below its first target, its lone amount; the
+        sweeps must land on it, not close the gap by a fraction each time."""
         vals = [log_val("a", "p", 1e150), sqrt_val("b", "p", 1e150)]
         result = best_response(vals, 1.0, max_iter=50)
         assert result.converged
@@ -492,8 +492,8 @@ class TestBestResponse:
 
     def test_funds_past_the_largest_float_are_found_in_few_solves(self, monkeypatch):
         """At k = 1e-300 the golden game's funds pass the largest float; the
-        sweeps settle and reach that error within a few dozen sweeps (damped
-        sweeps ran all 10,000, about 70,000 solves)."""
+        sweeps settle within a few dozen sweeps of 7 solves and then raise,
+        rather than running all 10,000 default sweeps first."""
         calls = []
         solve = equilibrium.solve_best_contribution
 
