@@ -13,13 +13,14 @@ left side; dF/dc equals the bracket, so the slope has a closed form.  A
 project nobody else funds reduces to V_i'(c_i) = 1, which can hit the
 c_i = 0 corner for the log family.
 
-The solver sweeps best responses, undamped, until no entry moves by more
-than the tolerance relative to max(1, target).  The first sweep solves every
-entry against the starting profile; later ones solve each project's
-contributors in turn (Gauss-Seidel), each against the amounts the ones
-before it just took, scaled by their budget factor from the sweep before.
-A last simultaneous sweep then sets every entry to its exact best response
-against the profile reached.  k is exogenous throughout.
+The solver sweeps best responses until no entry moves by more than the
+tolerance relative to max(1, target).  The first two sweeps solve every
+entry against the profile before them and move it halfway to its target;
+later ones solve each project's contributors in turn (Gauss-Seidel), each
+against the amounts the ones before it just took, scaled by their budget
+factor from the sweep before, and move every entry all the way.  A last
+simultaneous sweep then sets every entry to its exact best response against
+the profile reached.  k is exogenous throughout.
 
 Valuations come in two closed-form concave families:
 
@@ -52,6 +53,8 @@ __all__ = [
 FAMILIES = ("sqrt", "log")
 #: best_response converges once every entry moves by less than TOL * max(1, target) in a sweep.
 TOL = 1e-11
+#: best_response's first sweeps are simultaneous and move each entry halfway to its target.
+HALF_STEP_SWEEPS = 2
 #: The planner resolves the funding of a project valued both by sqrt and by log
 #: to this much (relative above 1), so it funds none below about this amount.
 PLANNER_RESOLUTION = 1e-13
@@ -228,11 +231,17 @@ def best_response(
     Projects are independent subproblems; budgets, when given, cap each
     contributor's total by proportional scaling and the affected entries are
     reported in ``clamped`` (their first-order conditions need not hold).
-    The first sweep is simultaneous from zeros or ``initial``.  From the
-    second on, a project's contributors are solved in sorted order, each
-    against the project's amounts with the ones already solved in this sweep
-    at their target times their contributor's budget factor from the last
-    sweep's clamp, so at a fixed point every solve sees the clamped profile.
+    The first ``HALF_STEP_SWEEPS`` sweeps, from zeros or ``initial``, solve
+    every entry against the profile before them and move it halfway to its
+    clamped target: from zeros the first targets are lone best responses,
+    which overshoot wherever others fund the project.  From then on a
+    project's contributors are solved in sorted order, each against the
+    project's amounts with the ones already solved in this sweep at their
+    target times their contributor's budget factor from the last sweep's
+    clamp, so at a fixed point every solve sees the clamped profile; every
+    entry then takes its clamped target.  Below about k = 1e-20 the funding's
+    two terms cancel and which error ends a run is set by rounding in these
+    first solves, which are those of the damped iteration this replaced.
     The sweep converges when no clamped target moves its entry by ``TOL``
     times max(1, target) or more: roots are resolved only to a relative step
     of 1e-13, so an absolute test could never pass for large amounts.  A last
@@ -268,7 +277,11 @@ def best_response(
             roots = [math.sqrt(c) for c in amounts]
             s_all, c_all = math.fsum(roots), math.fsum(amounts)  # as _sums(amounts)
             for v, key, c, root in zip(vals, keys, amounts, roots):
-                target = targets[key] = solve_best_contribution(v, k, s_all - root, c_all - c, c)
+                # Sums moved by a large entry's drop can round below the small ones left in them.
+                s_others, c_others = s_all - root, c_all - c
+                target = targets[key] = solve_best_contribution(
+                    v, k, s_others if s_others > 0.0 else 0.0, c_others if c_others > 0.0 else 0.0, c
+                )
                 if factors is not None:  # an entry that does not move leaves both sums' bits
                     target *= factors.get(key[0], 1.0)
                     s_all += math.sqrt(target) - root
@@ -295,10 +308,11 @@ def best_response(
 
     iterations = 0
     converged = False
-    factors = None  # the first sweep is simultaneous
+    factors: dict[str, float] = {}
     for _ in range(max_iter):
         iterations += 1
-        targets = sweep_targets(factors)
+        half_step = iterations <= HALF_STEP_SWEEPS
+        targets = sweep_targets(None if half_step else factors)
         factors = clamp(targets)
         delta = 0.0
         for key, target in targets.items():
@@ -306,7 +320,10 @@ def best_response(
             change = abs(target - current[key]) / (target if target > 1.0 else 1.0)
             if change > delta:
                 delta = change
-        current.update(targets)
+            if half_step:
+                current[key] += 0.5 * (target - current[key])
+        if not half_step:
+            current.update(targets)
         if delta < TOL:
             converged = True
             break

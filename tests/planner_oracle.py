@@ -3,16 +3,18 @@
 The planner inverts each project's summed marginal by re-summing every
 valuation's marginal with ``math.fsum`` at each bisection step, inside the
 bisection on the common multiplier.  ``best_response`` solves each project's
-contributors one after another; between the first and the final sweep, which
-solve every entry against the profile before them, each solve sees the ones
-before it at their new amounts, through project sums moved by each entry's
-change.  It clamps an over-budget contributor by scanning every target for
+contributors one after another.  The first sweeps move every entry halfway
+to its best response against the profile before them, and the final sweep
+sets it there; between them each solve sees the ones before it at their new
+amounts, through project sums moved by each entry's change and never taken
+below 0.  It clamps an over-budget contributor by scanning every target for
 that contributor's keys.  Tests compare the library against both.
 """
 
 import math
 
 from qfround.equilibrium import (
+    HALF_STEP_SWEEPS,
     TOL,
     EquilibriumResult,
     PlannerResult,
@@ -108,7 +110,7 @@ def best_response(valuations, k, budgets=None, *, max_iter=10_000):
             key = (v.contributor_id, project)
             old = current[key]
             targets[key] = solve_best_contribution(
-                v, k, s_all - math.sqrt(old), c_all - old, old,
+                v, k, max(0.0, s_all - math.sqrt(old)), max(0.0, c_all - old), old,
             )
             if factors is not None:
                 new = targets[key] * factors.get(v.contributor_id, 1.0)
@@ -140,15 +142,19 @@ def best_response(valuations, k, budgets=None, *, max_iter=10_000):
 
     iterations = 0
     converged = False
-    factors = None
+    factors = {}
     for _ in range(max_iter):
         iterations += 1
-        targets = sweep_targets(factors)
+        half_step = iterations <= HALF_STEP_SWEEPS
+        targets = sweep_targets(None if half_step else factors)
         factors = clamp(targets)
         delta = 0.0
         for key, target in targets.items():
             delta = max(delta, abs(target - current[key]) / max(1.0, target))
-            current[key] = target
+            if half_step:
+                current[key] = current[key] + 0.5 * (target - current[key])
+            else:
+                current[key] = target
         if delta < TOL:
             converged = True
             break

@@ -484,6 +484,32 @@ class TestEquilibriumCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: best response for (") and err.endswith(f" at k = {float(k)!r} leaves the float range\n")
 
+    @pytest.mark.parametrize("k, code, head, tail", [
+        ("1e-320", 1, "error: best response for ('alice', 'p1') at k = 1e-320", " leaves the float range\n"),
+        ("1e-300", 1, "error: best response at k = 1e-300: funds or welfare pass the largest float\n", ""),
+        ("1e-280", 1, "error: best response for (", " at k = 1e-280 leaves the float range\n"),
+        ("5e-200", 1, "error: funding must be nonnegative, got -", "\n"),
+        ("1e-100", 1, "error: best response for ('alice', 'p1') at k = 1e-100", " leaves the float range\n"),
+        ("1e-49", 1, "error: funding must be nonnegative, got -", "\n"),
+        ("5e-49", 1, "error: best response for ('carol', 'p3') at k = 5e-49", " leaves the float range\n"),
+        ("5e-48", 1, "error: best response for ('bob', 'p1') at k = 5e-48", " leaves the float range\n"),
+        ("1e-20", 0, "", ""),
+        ("1e-18", 0, "", ""),
+    ])
+    def test_tiny_k_exit(self, capsys, k, code, head, tail):
+        """Below about k = 1e-20 the funding's two terms cancel, so which error
+        ends a run, or whether it converges, is set by rounding.  Most runs
+        end in the second sweep's solves, which repeat those of the damped
+        iteration the sweeps replaced, so the same contributor fails for the
+        same reason; at k = 1e-280 the error comes dozens of sweeps later and
+        only its reason is pinned, as is only the sign of a negative funding."""
+        argv = ["equilibrium", "--valuations", str(EQUILIBRIUM / "valuations.csv"), "--k", k]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(head) and captured.err.endswith(tail)
+        if code == 0:
+            assert captured.err == "" and json.loads(captured.out)["converged"]
+
     def test_non_convergence_warns_on_stderr(self, tmp_path, capsys):
         valuations = tmp_path / "valuations.csv"
         valuations.write_text(VALUATIONS, encoding="utf-8")

@@ -268,7 +268,7 @@ class TestEvaluationPath:
     """``best_response`` on the golden game evaluates one ``Valuation.marginal``
     per first-order-condition evaluation; these are the counts that path makes."""
 
-    @pytest.mark.parametrize("with_budgets, evaluations, iterations", [(False, 274, 15), (True, 445, 21)])
+    @pytest.mark.parametrize("with_budgets, evaluations, iterations", [(False, 280, 15), (True, 467, 22)])
     def test_marginal_calls(self, monkeypatch, with_budgets, evaluations, iterations):
         calls = []
         marginal = Valuation.marginal
@@ -489,6 +489,24 @@ class TestBestResponse:
         result = best_response(vals, 1.0, max_iter=50)
         assert result.converged
         assert max_foc_residual(vals, result.contributions, 1.0) <= 1e-9
+
+    def test_sums_handed_to_the_solver_are_never_negative(self, monkeypatch):
+        """The two log contributors drop from their lone best responses beside
+        the sqrt one's 1e24, leaving the moved plain sum about -1.3e8 below the
+        sqrt entry; the solver must see 0, not a negative amount of others."""
+        others = []
+        solve = equilibrium.solve_best_contribution
+
+        def recorded(valuation, k, s_others, c_others, start):
+            others.append((s_others, c_others))
+            return solve(valuation, k, s_others, c_others, start)
+
+        monkeypatch.setattr(equilibrium, "solve_best_contribution", recorded)
+        vals = [log_val("a", "p", 1e9), log_val("b", "p", 1e10), sqrt_val("c", "p", 2e12)]
+        result = best_response(vals, 10.0)
+        assert result.converged
+        assert min(min(pair) for pair in others) >= 0.0
+        assert max_foc_residual(vals, result.contributions, 10.0) <= 1e-9
 
     def test_funds_past_the_largest_float_are_found_in_few_solves(self, monkeypatch):
         """At k = 1e-300 the golden game's funds pass the largest float; the
