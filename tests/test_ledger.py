@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import random
 import re
 import statistics
 from collections import Counter
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dictreader_loader
 import graph_oracle
+import loader_reference
 from synthgraph import columns_of, community_percentages_fixture, generate_backing, records_of
 
 from qfround.cli import main
@@ -197,6 +199,138 @@ class TestLoaderOracle:
         assert loaded.errors == errors
         assert records_of(loaded.contributions) == records
         assert loaded.project_categories == categories
+
+
+#: Rows the loader checks and adds as one run.
+RUN = 64
+#: Categories of the clean rows' projects; a "conflict" row takes another.
+PROJECT_CATEGORIES = {f"p{i}": ("infra", "apps", "community")[i % 3] for i in range(8)}
+#: Edits of a clean row, by name.  Every reason a row is rejected, values
+#: that parse but break the record rule, category conflicts, and awkward
+#: fields that are clean: padded numbers, quoted ids with commas, quotes
+#: and line breaks.  "short" cuts the row, "blank" makes it a blank line.
+ROW_EDITS = {
+    "day_text": {"day": "d3"},
+    "day_fraction": {"day": "1.5"},
+    "day_blank": {"day": ""},
+    "day_negative": {"day": "-1"},
+    "day_huge": {"day": "99999999999999999999"},
+    "amount_text": {"amount": "2.45x"},
+    "amount_blank": {"amount": ""},
+    "amount_nan": {"amount": "nan"},
+    "amount_inf": {"amount": "inf"},
+    "amount_overflow": {"amount": "1e400"},
+    "amount_underflow": {"amount": "1e-400"},
+    "amount_zero": {"amount": "0"},
+    "amount_negative": {"amount": "-3.5"},
+    "amount_negative_zero": {"amount": "-0.0"},
+    "padded": {"day": " 7 ", "amount": " 4 ", "project_id": " p1 ", "category": " apps "},
+    "project_missing": {"project_id": ""},
+    "contributor_blank": {"contributor_id": "  "},
+    "category_conflict": {},
+    "category_blank": {"category": ""},
+    "new_project": {"project_id": "p,new", "category": "apps"},
+    "newline_id": {"contributor_id": "a\nb"},
+    "crlf_id": {"contributor_id": "a\r\nb"},
+    "cr_id": {"project_id": "p\rq"},
+    "two_breaks_id": {"contributor_id": "a\n\rb\r"},
+    "comma_quote_id": {"contributor_id": 'c,"d'},
+    "short": {},
+    "blank": {},
+}
+EXTRA_COLUMNS = ("note", "k_at_day")
+
+
+def csv_text(rows, terminator: str) -> str:
+    """``rows`` as CSV text; a field holding a comma, a quote or a line break is quoted."""
+    def field(text):
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+    return "".join(",".join(map(field, row)) + terminator for row in rows)
+
+
+def edited_rows(rng, header, n_rows: int, edits: dict[int, str]) -> list[list[str]]:
+    """``n_rows`` clean rows in ``header``'s order, row i edited by ``ROW_EDITS[edits[i]]``."""
+    rows = []
+    for i in range(n_rows):
+        project = f"p{rng.randrange(len(PROJECT_CATEGORIES))}"
+        fields = {
+            "day": str(rng.randrange(30)),
+            "category": PROJECT_CATEGORIES[project],
+            "project_id": project,
+            "contributor_id": f"c{rng.randrange(20)}",
+            "amount": repr(round(rng.uniform(0.01, 50.0), 2)),
+            "note": "n",
+            "k_at_day": "1.5",
+        }
+        kind = edits.get(i)
+        fields.update(ROW_EDITS.get(kind, {}))
+        if kind == "category_conflict":
+            fields["category"] = "other"
+        row = [fields[column] for column in header]
+        if kind == "short":
+            row = row[:rng.randrange(1, len(row))]
+        elif kind == "blank":
+            row = []
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def long_contributions_files(draw):
+    """Header and rows of a file spanning three or four runs, sparsely edited,
+    with edits favouring the first and last row of each run."""
+    extras = draw(st.lists(st.sampled_from(EXTRA_COLUMNS), unique=True, max_size=2))
+    header = draw(st.permutations(CONTRIBUTIONS_COLUMNS + tuple(extras)))
+    n_rows = draw(st.integers(min_value=3 * RUN, max_value=4 * RUN + 2))
+    edges = [i for start in range(0, n_rows, RUN) for i in (start, start + RUN - 1) if i < n_rows]
+    positions = st.one_of(st.sampled_from(edges), st.integers(min_value=0, max_value=n_rows - 1))
+    edits = draw(st.dictionaries(positions, st.sampled_from(sorted(ROW_EDITS)), max_size=20))
+    rng = draw(st.randoms(use_true_random=False))
+    return [list(header)] + edited_rows(rng, header, n_rows, edits)
+
+
+def assert_same_load(loaded, reference) -> None:
+    """Equal ``LoadResult`` fields, dicts in the same order."""
+    assert loaded.errors == reference.errors
+    got, want = loaded.contributions, reference.contributions
+    assert list(got.contributor_codes.items()) == list(want.contributor_codes.items())
+    assert list(got.project_codes.items()) == list(want.project_codes.items())
+    for name in ("contributors", "projects", "amounts", "days"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(loaded.project_categories.items()) == list(reference.project_categories.items())
+
+
+class TestLoaderReference:
+    """The loader against the row-by-row loader it replaced, on files of
+    several runs: every record, code, category and message, in order."""
+
+    @staticmethod
+    def check(path, rows, terminator: str, bom: bool) -> None:
+        text = csv_text(rows, terminator)
+        path.write_text(("\ufeff" if bom else "") + text, encoding="utf-8", newline="")
+        assert_same_load(load_contributions(path), loader_reference.load_contributions(path))
+
+    @given(
+        rows=long_contributions_files(),
+        terminator=st.sampled_from(("\n", "\r\n")),
+        bom=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_row_by_row_loader(self, rows, terminator, bom, tmp_path_factory):
+        self.check(tmp_path_factory.mktemp("reference") / "contributions.csv", rows, terminator, bom)
+
+    @pytest.mark.parametrize("bom", [False, True])
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_every_edit_on_the_first_and_last_row_of_a_run(self, tmp_path, terminator, bom):
+        """Run r holds edit r on its first and last rows, and a category
+        conflict in its middle; a final run is clean."""
+        kinds = sorted(ROW_EDITS)
+        edits = {}
+        for run, kind in enumerate(kinds):
+            edits.update({run * RUN: kind, run * RUN + RUN // 2: "category_conflict", run * RUN + RUN - 1: kind})
+        header = ("amount", "note", "contributor_id", "day", "project_id", "category")
+        rows = edited_rows(random.Random(3), header, RUN * (len(kinds) + 1), edits)
+        self.check(tmp_path / "contributions.csv", [list(header)] + rows, terminator, bom)
 
 
 class TestRosterAndPools:
