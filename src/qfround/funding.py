@@ -144,6 +144,14 @@ class ProjectLedger:
         return dict(zip(self.contributors, self.amounts))
 
 
+class _Codes(dict):
+    """Id -> int code; looking up an id not seen before gives it the next code."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
 class ContributionColumns:
     """Contribution records as columns, in record order.
 
@@ -154,10 +162,10 @@ class ContributionColumns:
     """
 
     def __init__(self, projects: Iterable[str] = ()):
-        self.contributor_codes: dict[str, int] = {}
-        self.project_codes: dict[str, int] = {}
+        self.contributor_codes: dict[str, int] = _Codes()
+        self.project_codes: dict[str, int] = _Codes()
         for project in projects:
-            self.project_codes.setdefault(project, len(self.project_codes))
+            self.project_codes[project]  # the lookup interns it
         self.contributors = array("q")
         self.projects = array("q")
         self.amounts = array("d")
@@ -165,12 +173,19 @@ class ContributionColumns:
 
     def append(self, contributor: str, project: str, amount: float, day: int) -> None:
         """Add one record; its values must already satisfy ``check_record``."""
-        codes = self.contributor_codes
-        self.contributors.append(codes.setdefault(contributor, len(codes)))
-        codes = self.project_codes
-        self.projects.append(codes.setdefault(project, len(codes)))
+        self.contributors.append(self.contributor_codes[contributor])
+        self.projects.append(self.project_codes[project])
         self.amounts.append(amount)
         self.days.append(day)
+
+    def extend(
+        self, contributors: Iterable[str], projects: Iterable[str], amounts: list[float], days: Iterable[int]
+    ) -> None:
+        """Add records given as columns; their values must already satisfy ``check_record``."""
+        self.contributors.fromlist(list(map(self.contributor_codes.__getitem__, contributors)))
+        self.projects.fromlist(list(map(self.project_codes.__getitem__, projects)))
+        self.amounts.fromlist(amounts)
+        self.days.extend(days)
 
     def __len__(self) -> int:
         return len(self.amounts)

@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -53,6 +55,8 @@ __all__ = [
 
 CONTRIBUTIONS_COLUMNS = ("day", "category", "project_id", "contributor_id", "amount")
 TEAMS_COLUMNS = ("project_id", "member_id")
+#: Rows ``load_contributions`` reads, checks and adds at a time.
+RUN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -68,16 +72,16 @@ class LoadResult:
     errors: tuple[RowError, ...]
 
 
-def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | None, ...]]]:
-    """Yield ``(line, values)`` for each data row of a CSV file with a header.
+@contextmanager
+def _csv_reader(path, columns: Sequence[str]) -> Iterator[tuple[csv.reader, list[int]]]:
+    """A ``csv.reader`` of ``path`` past its header, and the header positions
+    of ``columns``.
 
-    ``values`` are the row's fields for ``columns`` (two or more names), in
-    that order; a row too short to reach a column has None there.  ``line``
-    is the line the row starts on; blank lines are skipped.  The header must
-    name every column in ``columns`` (extras are ignored; a repeated name
-    reads its last column); otherwise, or for an empty file, a file that is
-    not UTF-8 text or one that csv cannot parse, LedgerFormatError is raised.
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    The header must name every column in ``columns`` (extras are ignored; a
+    repeated name reads its last column); otherwise, or for an empty file, a
+    file that is not UTF-8 text or one that csv cannot parse, also while the
+    caller reads rows, LedgerFormatError is raised.  A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -89,20 +93,38 @@ def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | N
             if missing:
                 raise LedgerFormatError(f"{path}: missing columns: {', '.join(missing)}")
             index = {name: i for i, name in enumerate(header)}
-            positions = [index[column] for column in columns]
-            pick = itemgetter(*positions)
-            width = max(positions) + 1
-            line = reader.line_num
-            for row in reader:
-                if len(row) >= width:
-                    yield line + 1, pick(row)
-                elif row:
-                    yield line + 1, tuple(row[i] if i < len(row) else None for i in positions)
-                line = reader.line_num
+            yield reader, [index[column] for column in columns]
         except UnicodeDecodeError as exc:
             raise LedgerFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
             raise LedgerFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _padded(row: Sequence[str], positions: Sequence[int]) -> tuple[str | None, ...]:
+    """A short row's fields at ``positions``, None past its end."""
+    return tuple(row[i] if i < len(row) else None for i in positions)
+
+
+def read_rows(path, columns: Sequence[str]) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Yield ``(line, values)`` for each data row of a CSV file with a header.
+
+    ``values`` are the row's fields for ``columns`` (two or more names), in
+    that order; a row too short to reach a column has None there.  ``line``
+    is the line the row starts on; blank lines are skipped.  The header and
+    the file are checked as ``_csv_reader`` says.  Rows are read one at a
+    time, so a caller that stops at a bad row reports it before any fault
+    csv finds further on.
+    """
+    with _csv_reader(path, columns) as (reader, positions):
+        pick = itemgetter(*positions)
+        width = max(positions) + 1
+        line = reader.line_num
+        for row in reader:
+            if len(row) >= width:
+                yield line + 1, pick(row)
+            elif row:
+                yield line + 1, _padded(row, positions)
+            line = reader.line_num
 
 
 def write_rows(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
@@ -142,34 +164,124 @@ def positive_field(path, line: int, text: str | None, column: str) -> float:
 
 
 def load_contributions(path) -> LoadResult:
-    """Parse a contributions CSV into columns; malformed rows are reported, not fatal."""
+    """Parse a contributions CSV into columns; malformed rows are reported, not fatal.
+
+    Rows are read in runs of ``RUN_ROWS``.  Each run's longest prefix of
+    clean rows, rows that pass the record rule and keep their project's
+    category, is checked and added column by column (``_add_clean``).  The
+    first other row goes through ``_load_row``, which words every message,
+    and the run goes on after it.
+    """
     columns = ContributionColumns()
-    append = columns.append
     categories: dict[str, str] = {}
     errors: list[RowError] = []
-    for line, (day, category, project, contributor, amount) in read_rows(path, CONTRIBUTIONS_COLUMNS):
-        try:
-            day = int(day)
-            amount = float(amount)
-        except (TypeError, ValueError) as exc:
-            errors.append(RowError(line, f"unparsable row: {exc}"))
-            continue
-        project = (project or "").strip()
-        contributor = (contributor or "").strip()
-        category = (category or "").strip()
-        if not project or not contributor:
-            errors.append(RowError(line, "missing project or contributor id"))
-            continue
-        try:
-            check_record(amount, day)
-        except DomainError as exc:
-            errors.append(RowError(line, str(exc)))
-            continue
-        kept = categories.setdefault(project, category)
-        if kept != category:
-            errors.append(RowError(line, f"category conflict for {project!r}: keeping {kept!r}"))
-        append(contributor, project, amount, day)
+    with _csv_reader(path, CONTRIBUTIONS_COLUMNS) as (reader, positions):
+        pick = itemgetter(*positions)
+        width = max(positions) + 1
+        line = reader.line_num
+        while rows := list(islice(reader, RUN_ROWS)):
+            end = reader.line_num
+            lines = range(line + 1, end + 1) if end - line == len(rows) else _start_lines(line, rows)
+            line = end
+            while rows and (clean := _add_clean(rows, pick, width, columns, categories)) < len(rows):
+                if row := rows[clean]:
+                    values = pick(row) if len(row) >= width else _padded(row, positions)
+                    _load_row(lines[clean], values, columns, categories, errors)
+                rows, lines = rows[clean + 1:], lines[clean + 1:]
     return LoadResult(columns, categories, tuple(errors))
+
+
+def _start_lines(line: int, rows: Sequence[Sequence[str]]) -> list[int]:
+    """The line each of ``rows`` starts on, the first the line after ``line``.
+
+    A row ends on a later line than it starts only inside a quoted field,
+    which keeps the line break: a row takes one line more than the line
+    breaks (\\n, \\r or \\r\\n, as the file is read) in its fields.
+    """
+    starts = []
+    for row in rows:
+        line += 1
+        starts.append(line)
+        for field in row:
+            line += field.count("\n") + field.count("\r") - field.count("\r\n")
+    return starts
+
+
+def _parsed(parse, texts: Sequence[str]) -> list:
+    """``parse`` of each of ``texts``, up to the first one it raises ValueError for."""
+    try:
+        return list(map(parse, texts))
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(parse(text))
+            except ValueError:
+                break
+        return values
+
+
+def _add_clean(rows, pick, width: int, columns: ContributionColumns, categories: dict[str, str]) -> int:
+    """Add the longest prefix of ``rows`` whose rows are clean; return its length.
+
+    A clean row reaches every column, parses, has both ids, passes
+    ``check_record`` and keeps its project's category (it sets the category
+    of a new project).  Categories are recorded in row order and only for
+    rows that pass the record rule, as ``_load_row`` records them; those
+    after a conflicting row are recorded again, to no effect, when the
+    run goes on after it.
+    """
+    size = len(rows)
+    if min(map(len, rows)) < width:  # a blank or short row
+        size = next(i for i, row in enumerate(rows) if len(row) < width)
+        if not size:
+            return 0
+        rows = rows[:size]
+    # transposed, then picked: the columns up to ``width`` are as long as the run
+    days, cats, projects, contributors, amounts = pick(list(islice(zip(*rows), width)))
+    days, amounts = _parsed(int, days), _parsed(float, amounts)
+    projects, contributors = list(map(str.strip, projects)), list(map(str.strip, contributors))
+    clean = min(len(days), len(amounts))
+    if not (clean == size and min(days) >= 0 and min(amounts) > 0 and math.isfinite(sum(amounts))
+            and all(projects) and all(contributors)):
+        clean = next((i for i, (day, amount, project, contributor)
+                      in enumerate(zip(days, amounts, projects, contributors))
+                      if day < 0 or not 0 < amount < math.inf or not project or not contributor), clean)
+    cats = list(map(str.strip, cats[:clean]))
+    del projects[clean:]
+    kept = list(map(categories.setdefault, projects, cats))
+    if kept != cats:
+        clean = next(i for i, (keep, cat) in enumerate(zip(kept, cats)) if keep != cat)
+    del projects[clean:], contributors[clean:], amounts[clean:], days[clean:]
+    columns.extend(contributors, projects, amounts, days)
+    return clean
+
+
+def _load_row(line: int, values, columns: ContributionColumns, categories: dict[str, str],
+              errors: list[RowError]) -> None:
+    """Check one row and add it, or report why it is rejected: the loader's only source of messages."""
+    day, category, project, contributor, amount = values
+    try:
+        day = int(day)
+        amount = float(amount)
+    except (TypeError, ValueError) as exc:
+        errors.append(RowError(line, f"unparsable row: {exc}"))
+        return
+    project = (project or "").strip()
+    contributor = (contributor or "").strip()
+    category = (category or "").strip()
+    if not project or not contributor:
+        errors.append(RowError(line, "missing project or contributor id"))
+        return
+    try:
+        check_record(amount, day)
+    except DomainError as exc:
+        errors.append(RowError(line, str(exc)))
+        return
+    kept = categories.setdefault(project, category)
+    if kept != category:
+        errors.append(RowError(line, f"category conflict for {project!r}: keeping {kept!r}"))
+    columns.append(contributor, project, amount, day)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ from synthgraph import columns_of, community_percentages_fixture, generate_backi
 from qfround.cli import main
 from qfround.errors import DomainError, LedgerFormatError
 from qfround.funding import Contribution
+from qfround import ledger
 from qfround.ledger import (
     CONTRIBUTIONS_COLUMNS,
+    RUN_ROWS,
     TeamRoster,
     build_graph,
     cross_category_stats,
@@ -201,8 +203,7 @@ class TestLoaderOracle:
         assert loaded.project_categories == categories
 
 
-#: Rows the loader checks and adds as one run.
-RUN = 64
+RUN = RUN_ROWS
 #: Categories of the clean rows' projects; a "conflict" row takes another.
 PROJECT_CATEGORIES = {f"p{i}": ("infra", "apps", "community")[i % 3] for i in range(8)}
 #: Edits of a clean row, by name.  Every reason a row is rejected, values
@@ -331,6 +332,56 @@ class TestLoaderReference:
         header = ("amount", "note", "contributor_id", "day", "project_id", "category")
         rows = edited_rows(random.Random(3), header, RUN * (len(kinds) + 1), edits)
         self.check(tmp_path / "contributions.csv", [list(header)] + rows, terminator, bom)
+
+
+#: Edits that make a row rejected or a category conflict.
+BAD_EDITS = tuple(kind for kind in sorted(ROW_EDITS) if kind.startswith(("day_", "amount_", "project_"))
+                  and kind != "day_huge") + ("contributor_blank", "category_conflict", "short")
+#: Edits that leave a row clean, and blank lines.
+CLEAN_EDITS = ("padded", "day_huge", "new_project", "newline_id", "crlf_id", "comma_quote_id", "blank")
+
+
+class TestLoaderRuns:
+    """Clean runs are added in bulk: only the rows that are reported go
+    through ``_load_row``, the loader's row-by-row step."""
+
+    @pytest.fixture
+    def row_by_row(self, monkeypatch):
+        """The line of each row ``_load_row`` is given."""
+        lines = []
+        load_row = ledger._load_row
+
+        def counted(line, *args):
+            lines.append(line)
+            load_row(line, *args)
+
+        monkeypatch.setattr(ledger, "_load_row", counted)
+        return lines
+
+    def write(self, path, edits: dict[int, str], n_rows: int) -> None:
+        rows = edited_rows(random.Random(11), CONTRIBUTIONS_COLUMNS, n_rows, edits)
+        path.write_text(csv_text([list(CONTRIBUTIONS_COLUMNS)] + rows, "\n"), encoding="utf-8")
+
+    def test_a_clean_file_takes_no_row_by_row_step(self, tmp_path, row_by_row):
+        edits = {7 + 21 * i: kind for i, kind in enumerate(CLEAN_EDITS * 2)}
+        self.write(tmp_path / "clean.csv", edits, 5 * RUN_ROWS + 3)
+        loaded = load_contributions(tmp_path / "clean.csv")
+        assert loaded.errors == ()
+        assert len(loaded.contributions) == 5 * RUN_ROWS + 3 - 2  # two blank lines
+        assert row_by_row == []
+
+    def test_each_bad_row_takes_one_row_by_row_step(self, tmp_path, row_by_row):
+        """One bad row per run, at offsets from its first to its last row,
+        among clean but awkward rows."""
+        rng = random.Random(5)
+        edits = {}
+        for run, kind in enumerate(BAD_EDITS):
+            edits[run * RUN_ROWS + rng.choice((0, RUN_ROWS - 1, rng.randrange(RUN_ROWS)))] = kind
+            edits.setdefault(run * RUN_ROWS + rng.randrange(RUN_ROWS), rng.choice(CLEAN_EDITS))
+        self.write(tmp_path / "bad.csv", edits, RUN_ROWS * len(BAD_EDITS))
+        loaded = load_contributions(tmp_path / "bad.csv")
+        assert len(BAD_EDITS) <= len(loaded.errors) <= len(BAD_EDITS) + 2  # a new category can conflict later
+        assert row_by_row == [error.line for error in loaded.errors]
 
 
 class TestRosterAndPools:
