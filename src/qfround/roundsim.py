@@ -218,9 +218,10 @@ def _value(value, key: str, json_type, parent: dict):
 
 def load_simulation_file(path) -> tuple[RoundConfig, list[AgentSpec]]:
     """Read a JSON round file, a RoundConfig's keys and its ``agents``; LedgerFormatError
-    ``path:line: reason`` for a JSON syntax error, ``path: reason`` for any other fault."""
+    ``path:line: reason`` for a JSON syntax error, ``path: reason`` for any other fault.
+    A leading UTF-8 byte-order mark is skipped, as for CSV inputs."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             data = json.load(handle)
         if type(data) is not dict:
             raise TypeError(f"a round file must be a JSON object, got {data!r:.80}")

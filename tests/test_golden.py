@@ -6,6 +6,7 @@ change to a formula, a summation order or a writer's formatting shows up
 as a failing comparison.
 """
 
+import codecs
 import json
 import os
 import subprocess
@@ -121,6 +122,18 @@ def test_simulate_sample_round_bytes(tmp_path, capsys, monkeypatch, checked_top_
     out_dir = tmp_path / "round"
     for name in SIMULATE_OUTPUTS:
         assert_golden(out_dir / name, f"sample_round/{name}")
+
+
+@pytest.mark.usefixtures("no_records")
+def test_simulate_sample_round_with_a_byte_order_mark(tmp_path, capsys, monkeypatch):
+    """A round file saved with a UTF-8 byte-order mark reads as the same round."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "round.json"
+    config.write_bytes(codecs.BOM_UTF8 + SAMPLE_ROUND.read_bytes())
+    assert main(["simulate", "--config", str(config), "--out-dir", "round"]) == 0
+    assert_stdout_golden(capsys, "sample_round/stdout.json")
+    for name in SIMULATE_OUTPUTS:
+        assert_golden(tmp_path / "round" / name, f"sample_round/{name}")
 
 
 @pytest.mark.usefixtures("no_records")
