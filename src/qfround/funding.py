@@ -158,7 +158,8 @@ class ContributionColumns:
     Contributor and project ids are interned: ``contributor_codes`` and
     ``project_codes`` map each id to its int code, in order of first
     appearance, and the ``contributors`` and ``projects`` columns hold
-    codes.  ``amounts`` and ``days`` hold the rest of each record.
+    codes; looking up an id the dicts lack interns it, so query them with
+    ``in`` or ``get``.  ``amounts`` and ``days`` hold the rest of each record.
     """
 
     def __init__(self, projects: Iterable[str] = ()):

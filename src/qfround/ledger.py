@@ -73,7 +73,7 @@ class LoadResult:
 
 
 @contextmanager
-def _csv_reader(path, columns: Sequence[str]) -> Iterator[tuple[csv.reader, list[int]]]:
+def _csv_reader(path, columns: Sequence[str]) -> Iterator[tuple[Iterator[list[str]], list[int]]]:
     """A ``csv.reader`` of ``path`` past its header, and the header positions
     of ``columns``.
 

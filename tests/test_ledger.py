@@ -203,7 +203,6 @@ class TestLoaderOracle:
         assert loaded.project_categories == categories
 
 
-RUN = RUN_ROWS
 #: Categories of the clean rows' projects; a "conflict" row takes another.
 PROJECT_CATEGORIES = {f"p{i}": ("infra", "apps", "community")[i % 3] for i in range(8)}
 #: Edits of a clean row, by name.  Every reason a row is rejected, values
@@ -282,8 +281,8 @@ def long_contributions_files(draw):
     with edits favouring the first and last row of each run."""
     extras = draw(st.lists(st.sampled_from(EXTRA_COLUMNS), unique=True, max_size=2))
     header = draw(st.permutations(CONTRIBUTIONS_COLUMNS + tuple(extras)))
-    n_rows = draw(st.integers(min_value=3 * RUN, max_value=4 * RUN + 2))
-    edges = [i for start in range(0, n_rows, RUN) for i in (start, start + RUN - 1) if i < n_rows]
+    n_rows = draw(st.integers(min_value=3 * RUN_ROWS, max_value=4 * RUN_ROWS + 2))
+    edges = [i for start in range(0, n_rows, RUN_ROWS) for i in (start, start + RUN_ROWS - 1) if i < n_rows]
     positions = st.one_of(st.sampled_from(edges), st.integers(min_value=0, max_value=n_rows - 1))
     edits = draw(st.dictionaries(positions, st.sampled_from(sorted(ROW_EDITS)), max_size=20))
     rng = draw(st.randoms(use_true_random=False))
@@ -328,9 +327,10 @@ class TestLoaderReference:
         kinds = sorted(ROW_EDITS)
         edits = {}
         for run, kind in enumerate(kinds):
-            edits.update({run * RUN: kind, run * RUN + RUN // 2: "category_conflict", run * RUN + RUN - 1: kind})
+            first = run * RUN_ROWS
+            edits.update({first: kind, first + RUN_ROWS // 2: "category_conflict", first + RUN_ROWS - 1: kind})
         header = ("amount", "note", "contributor_id", "day", "project_id", "category")
-        rows = edited_rows(random.Random(3), header, RUN * (len(kinds) + 1), edits)
+        rows = edited_rows(random.Random(3), header, RUN_ROWS * (len(kinds) + 1), edits)
         self.check(tmp_path / "contributions.csv", [list(header)] + rows, terminator, bom)
 
 
