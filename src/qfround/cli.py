@@ -167,7 +167,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_reciprocal(args) -> int:
     loaded = _load_contributions(args.contributions)
     roster = ledger.load_roster(args.teams)
-    graph = ledger.build_graph(loaded.contributions, roster, loaded.project_categories)
+    graph = ledger.build_graph(loaded.contributions, roster, loaded.project_categories, weighted=args.weighted)
     report = ledger.reciprocity_stats(graph, weighted=args.weighted)
     cross = ledger.cross_category_stats(graph)
     out_dir = Path(args.out_dir)

@@ -346,9 +346,10 @@ class ContributionGraph:
     ``nodes`` are the project ids, sorted, and ``labels`` their categories.
     Edge j runs from node ``sources[j]`` to node ``targets[j]``, sorted by
     source, then target.  ``amounts[j]`` is what the source's team members
-    gave the target, summed in record order, and ``mutual[j]`` tells
-    whether the reverse edge exists.  ``self_counts[i]`` counts the records
-    node i's own members sent it.  ``edges`` is the one dict view: it stays
+    gave the target, summed in record order (``amounts`` is None unless
+    built ``weighted``), and ``mutual[j]`` tells whether the reverse edge
+    exists.  ``self_counts[i]`` counts the records node i's own members sent
+    it.  ``edges``, the one dict view (values None without amounts), stays
     while ``perfbench/layers.py`` counts a graph's edges as ``len(graph.edges)``.
     """
 
@@ -356,24 +357,23 @@ class ContributionGraph:
     labels: tuple[str, ...]
     sources: np.ndarray
     targets: np.ndarray
-    amounts: np.ndarray
+    amounts: np.ndarray | None
     mutual: np.ndarray
     self_counts: np.ndarray
 
     @cached_property
-    def edges(self) -> dict[tuple[str, str], float]:
-        """(A, B) -> the amount that A's team members gave B."""
-        names = self.nodes.__getitem__
-        return {
-            (names(a), names(b)): amount
-            for a, b, amount in zip(self.sources.tolist(), self.targets.tolist(), self.amounts.tolist())
-        }
+    def edges(self) -> dict[tuple[str, str], float | None]:
+        """(A, B) -> the amount that A's team members gave B, or None without amounts."""
+        pairs = [(self.nodes[a], self.nodes[b]) for a, b in zip(self.sources.tolist(), self.targets.tolist())]
+        return dict(zip(pairs, self.amounts.tolist())) if self.amounts is not None else dict.fromkeys(pairs)
 
 
 def build_graph(
     contributions: ContributionColumns,
     roster: TeamRoster,
     categories: Mapping[str, str] | None = None,
+    *,
+    weighted: bool = True,
 ) -> ContributionGraph:
     """Project-to-project support edges derived from team membership.
 
@@ -384,11 +384,12 @@ def build_graph(
     Each record becomes one row per team its contributor is on.  A row is
     the key ``source * n_nodes + target``; one sort groups the rows by
     edge, and an edge is mutual when ``np.searchsorted`` finds its key
-    among the sorted reverse keys.  An edge's amount is the sum of its
-    records in record order: ``np.add.reduceat`` sums one or two records,
-    whose sum does not depend on their order, and an edge of three or more
-    is summed in Python after its rows are put back in record order.  An
-    edge whose amount passes the largest float raises DomainError.
+    among the sorted reverse keys.  With ``weighted``, an edge's amount is
+    the sum of its records in record order (``np.add.reduceat`` for one or
+    two records, whose sum does not depend on their order, a Python loop in
+    record order for more); a sum past the largest float raises DomainError.
+    Otherwise ``amounts`` is None.  With one team per contributor, the build
+    peaks at about 37 bytes per record, 45 with ``weighted``.
     """
     import numpy as np
 
@@ -400,42 +401,49 @@ def build_graph(
     team_sizes = np.array([len(team) for team in teams], dtype=np.int64)
     team_nodes = np.array([node for team in teams for node in team], dtype=np.int64)
     project_nodes = np.array([index[p] for p in contributions.project_codes], dtype=np.int64)
+    del teams_of, teams
 
     contributors = np.frombuffer(contributions.contributors, dtype=np.int64)
     repeats = team_sizes[contributors]
-    records = np.repeat(np.arange(len(contributors)), repeats)
-    # a row's rank among its record's rows, offset into the contributor's team
-    rank = np.arange(len(records)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-    team_starts = np.cumsum(team_sizes) - team_sizes
-    sources = team_nodes[team_starts[contributors[records]] + rank]
-    targets = project_nodes[np.frombuffer(contributions.projects, dtype=np.int64)[records]]
-    amounts = np.frombuffer(contributions.amounts, dtype=np.float64)[records]
+    # row i of record r is team_nodes[i + r's team start - r's first row]
+    sources = (np.cumsum(team_sizes) - team_sizes)[contributors] - (np.cumsum(repeats) - repeats)
+    sources = np.repeat(sources, repeats)
+    sources += np.arange(len(sources))
+    sources = team_nodes[sources]
+    targets = np.repeat(project_nodes[np.frombuffer(contributions.projects, dtype=np.int64)], repeats)
+    records = np.repeat(np.arange(len(contributors)), repeats) if weighted else None
     own = sources == targets
     self_counts = np.bincount(sources[own], minlength=len(nodes))
-
-    keys, amounts = sources[~own] * width + targets[~own], amounts[~own]
+    sources *= width  # in place: the rows' keys
+    sources += targets
+    keys = sources[~own]
+    del sources, targets, repeats
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    with np.errstate(over="ignore"):
-        sums = np.add.reduceat(amounts[order], starts) if len(keys) else amounts
-    ends = np.append(starts[1:], len(keys))
-    for edge in np.flatnonzero(ends - starts >= 3).tolist():
-        total = 0.0
-        for amount in amounts[np.sort(order[starts[edge]:ends[edge]])].tolist():
-            total += amount
-        sums[edge] = total
-    keys = keys[starts]
+    records = records[~own][order] if weighted else None
+    del own, order
+    # edge j's rows are bounds[j]:bounds[j + 1]
+    bounds = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
+    sums = None
+    if weighted:
+        amounts = np.frombuffer(contributions.amounts, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            sums = np.add.reduceat(amounts[records], bounds[:-1]) if len(keys) else np.zeros(0)
+        for edge in np.flatnonzero(np.diff(bounds) >= 3).tolist():
+            total = 0.0
+            for amount in amounts[np.sort(records[bounds[edge]:bounds[edge + 1]])].tolist():
+                total += amount
+            sums[edge] = total
+    keys = keys[bounds[:-1]]
+    del bounds, records
+    # A->B is mutual when its key is among the sorted B->A keys (one past them all clips to a miss)
+    reverse = np.sort(keys % width * width + keys // width)
+    mutual = reverse.take(np.searchsorted(reverse, keys), mode="clip") == keys
     sources, targets = np.divmod(keys, width)
-    finite = np.isfinite(sums)
-    if not finite.all():
-        edge = int(np.argmin(finite))
+    if weighted and not np.isfinite(sums).all():
+        edge = int(np.argmin(np.isfinite(sums)))
         raise DomainError(f"contributions from the team of project {nodes[sources[edge]]!r} "
                           f"to project {nodes[targets[edge]]!r} sum past the largest float")
-    # B->A is an edge exactly when A->B's key is among the reverse keys;
-    # -1 is no key, so a key past the last reverse key is not found
-    reverse = np.sort(targets * width + sources)
-    mutual = np.append(reverse, -1)[np.searchsorted(reverse, keys)] == keys
     labels = tuple((categories or {}).get(node, "") for node in nodes)
     return ContributionGraph(tuple(nodes), labels, sources, targets, sums, mutual, self_counts)
 
@@ -497,7 +505,7 @@ def _category_codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return names, np.array([code[label] for label in labels], dtype=np.int64)
 
 
-def _per_node(sources: np.ndarray, amounts: np.ndarray, n: int, weighted: bool) -> list[float]:
+def _per_node(sources: np.ndarray, amounts: np.ndarray | None, n: int, weighted: bool) -> list[float]:
     """Per node, its edges among sorted ``sources``: their count, or with
     ``weighted`` the ``math.fsum`` of their amounts."""
     import numpy as np
@@ -513,16 +521,18 @@ def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> Re
     """Outdegree vs reciprocated-backing counts, with fitted slopes.
 
     Counting is at project-pair granularity by default; ``weighted`` uses
-    contributed amounts instead of pair counts.  Slopes are ordinary least
-    squares with intercept and are absent (None) when fewer than two
-    projects have positive outdegree.
+    contributed amounts instead, so it needs a graph built ``weighted``.
+    Slopes are ordinary least squares with intercept, absent (None) when
+    fewer than two projects have positive outdegree.
     """
     if not graph.nodes:
         raise DomainError("empty graph")
+    if weighted and graph.amounts is None:
+        raise DomainError("weighted statistics need a graph built with weighted=True")
     _names, codes = _category_codes(graph.labels)
     cross = codes[graph.sources] != codes[graph.targets]
     columns = [
-        _per_node(graph.sources[edges], graph.amounts[edges], len(graph.nodes), weighted)
+        _per_node(graph.sources[edges], graph.amounts[edges] if weighted else None, len(graph.nodes), weighted)
         for edges in (slice(None), graph.mutual, cross, graph.mutual & cross)
     ]
     if math.inf in columns[0]:  # every other column's sums are parts of these

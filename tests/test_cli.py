@@ -742,6 +742,40 @@ class TestSumsPastTheLargestFloat:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+class TestUnweightedReciprocalSumsNoEdge:
+    """Without ``--weighted``, ``reciprocal`` reads no edge amount, so an edge
+    whose records sum past the largest float is counted like any other."""
+
+    @pytest.mark.parametrize("name", ["pair", "project"])
+    def test_exits_0(self, tmp_path, capsys, name):
+        out_dir = tmp_path / "out"
+        argv = ["reciprocal", "--contributions", str(OVERFLOW / f"{name}.csv"),
+                "--teams", str(OVERFLOW / "teams.csv"), "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert json.loads(stdout) == {
+            "weighted": False,
+            "slope": None,
+            "cross_slope_cross_denominator": None,
+            "cross_slope_total_denominator": None,
+            "self_support_projects": 0,
+            "outputs": {"report": str(out_dir / "reciprocal_report.csv"),
+                        "cross_category": str(out_dir / "cross_category.csv")},
+        }
+        assert (out_dir / "reciprocal_report.csv").read_bytes() == (
+            b"project_id,category,outdegree,reciprocal,cross_outdegree,cross_reciprocal\r\n"
+            b"p1,main,0,0,0,0\r\n"
+            b"p4,,1,0,1,0\r\n"
+        )
+        assert (out_dir / "cross_category.csv").read_bytes() == (
+            b"category,project_count,outside_project_share,cross_reciprocal_share,"
+            b"reciprocal_endpoints,cross_endpoints\r\n"
+            b",1,0.5,0.0,0,0\r\n"
+            b"main,1,0.5,0.0,0,0\r\n"
+        )
+
+
 class TestMalformedRows:
     """Bad values and repeated keys in pools, budgets and valuations files
     are data errors: exit code 1 and a ``path:line: reason`` message."""

@@ -6,6 +6,7 @@ import io
 import random
 import re
 import statistics
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -487,6 +488,19 @@ class TestBuildGraph:
         assert self_support(graph) == {"C": 1}
         assert outdegrees(graph)["A"] == 2
 
+    def test_edge_amounts_add_their_records_in_record_order(self):
+        """Past a few rows the sort moves an edge's rows out of record order,
+        and 0.1, 0.2 and 0.3 or 1e6 and 1e-3 sum differently in another order."""
+        roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"}), "C": frozenset({"c1"})})
+        rng = random.Random(3)
+        records = [(rng.choice(["a1", "b1"]), rng.choice("BC"), rng.choice(GRAPH_AMOUNTS)) for _ in range(500)]
+        expected = {}
+        for member, project, amount in records:
+            edge = (member[0].upper(), project)
+            if edge[0] != project:
+                expected[edge] = expected.get(edge, 0.0) + amount
+        assert build_graph(columns_of(records), roster, {}).edges == expected
+
     def test_member_on_two_teams_projects_both(self):
         roster = TeamRoster({"A": frozenset({"m"}), "B": frozenset({"m"})})
         graph = build_graph(columns_of([("m", "C", 1.0)]), roster, {})
@@ -780,3 +794,75 @@ class TestGraphOracle:
         for weighted in (False, True):
             reference = graph_oracle.reciprocal(*files, out_dir, weighted) + _take_outputs(out_dir)
             assert _run_reciprocal(*files, out_dir, weighted) == reference
+
+
+class TestUnweightedGraph:
+    """``build_graph(weighted=False)`` skips the edge sums and nothing else."""
+
+    @given(inputs=backing_inputs())
+    @example(inputs=(
+        # m1 is on A, B and C; edge C->D gets four records from m1 and m2,
+        # between rows of other keys, and m1 and m3 back their own projects
+        {"A": frozenset({"m1"}), "B": frozenset({"m1", "m3"}), "C": frozenset({"m1", "m2"}),
+         "D": frozenset({"m4"})},
+        [("m1", "D", 0.1), ("m4", "A", 1.0), ("m2", "D", 0.2), ("m1", "A", 2.25), ("m1", "D", 0.3),
+         ("m3", "B", 7.0), ("m2", "D", 1e6), ("outsider", "F", 1.0)],
+        {"A": "x", "D": "y"},
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_weighted_graph_but_for_amounts(self, inputs):
+        teams, records, labels = inputs
+        contributions, roster = columns_of(records), TeamRoster(teams)
+        weighted = build_graph(contributions, roster, labels)
+        unweighted = build_graph(contributions, roster, labels, weighted=False)
+        assert (unweighted.nodes, unweighted.labels) == (weighted.nodes, weighted.labels)
+        for name, dtype in (("sources", "int64"), ("targets", "int64"), ("mutual", "bool"),
+                            ("self_counts", "int64")):
+            ours, theirs = getattr(unweighted, name), getattr(weighted, name)
+            assert (str(ours.dtype), str(theirs.dtype)) == (dtype, dtype)
+            assert ours.tobytes() == theirs.tobytes()
+        assert str(weighted.amounts.dtype) == "float64"
+        assert unweighted.amounts is None
+        assert unweighted.edges == dict.fromkeys(weighted.edges)
+
+    def test_weighted_statistics_need_the_amounts(self):
+        roster = TeamRoster({"A": frozenset({"a1"}), "B": frozenset({"b1"})})
+        contributions = columns_of([("a1", "B", 2.0), ("b1", "A", 1.0)])
+        graph = build_graph(contributions, roster, {"A": "x", "B": "y"}, weighted=False)
+        message = "^weighted statistics need a graph built with weighted=True$"
+        with pytest.raises(DomainError, match=message):
+            reciprocity_stats(graph, weighted=True)
+        assert reciprocity_stats(graph) == reciprocity_stats(two_team_graph())
+
+
+class TestBuildGraphMemory:
+    """numpy reports its buffers to tracemalloc, so the traced peak of one
+    build counts every record-sized temporary it holds at once."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        """50,000 records from 1,500 members, each on one to three of 1,000 teams."""
+        rng = random.Random(7)
+        projects = [f"p{i}" for i in range(1000)]
+        members = [f"m{i}" for i in range(1500)]
+        teams = {}
+        for member in members:
+            for project in rng.sample(projects, rng.randint(1, 3)):
+                teams.setdefault(project, set()).add(member)
+        roster = TeamRoster({project: frozenset(team) for project, team in teams.items()})
+        records = [(rng.choice(members), rng.choice(projects), rng.choice(GRAPH_AMOUNTS)) for _ in range(50_000)]
+        return columns_of(records), roster
+
+    # Measured at 63.8 and 83.3 bytes per record; a build that summed every
+    # edge and held each temporary to its end took 236 either way.
+    @pytest.mark.parametrize("weighted, bound", [(False, 71), (True, 92)])
+    def test_peak_bytes_per_record(self, inputs, weighted, bound):
+        contributions, roster = inputs
+        build_graph(contributions, roster, {}, weighted=weighted)  # the first build imports numpy
+        tracemalloc.start()
+        try:
+            build_graph(contributions, roster, {}, weighted=weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(contributions.amounts) <= bound
