@@ -49,10 +49,18 @@ def check_k(k: float, where: str = "") -> float:
     return k
 
 
+def _lambda(k: float, alphas: Sequence[float]) -> float:
+    return math.fsum(1.0 / (1.0 / (k * a) + 1.0 - 1.0 / k) for a in alphas)
+
+
+def _lower_bound(k: float, alphas: Sequence[float]) -> float:
+    n = len(alphas)
+    return n * n / (math.fsum(1.0 / a for a in alphas) / k + n * (1.0 - 1.0 / k))
+
+
 def lambda_from_amounts(amounts: Iterable[float], k: float) -> float:
     """lambda_p from raw per-contributor amounts (one entry per contributor)."""
-    check_k(k)
-    return math.fsum(1.0 / (1.0 / (k * a) + 1.0 - 1.0 / k) for a in sqrt_shares(amounts))
+    return _lambda(check_k(k), sqrt_shares(amounts))
 
 
 def lambda_p(ledger: ProjectLedger, k: float) -> float:
@@ -66,11 +74,7 @@ def lambda_lower_bound(ledger: ProjectLedger, k: float) -> float:
     Follows from the Cauchy-Schwarz (Engel form) inequality applied to the
     lambda_p sum; tight exactly when all shares are equal.
     """
-    check_k(k)
-    alphas = sqrt_shares(ledger.amounts)
-    n = len(alphas)
-    denom = math.fsum(1.0 / a for a in alphas) / k + n * (1.0 - 1.0 / k)
-    return n * n / denom
+    return _lower_bound(check_k(k), sqrt_shares(ledger.amounts))
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,9 @@ class LambdaReport:
 
 
 def lambda_report(ledger: ProjectLedger, k: float) -> LambdaReport:
-    return LambdaReport(
-        ledger.project_id, ledger.category, ledger.contributor_count, k,
-        lambda_p(ledger, k), lambda_lower_bound(ledger, k),
-    )
+    k, alphas = check_k(k), sqrt_shares(ledger.amounts)  # the shares serve both sums
+    return LambdaReport(ledger.project_id, ledger.category, ledger.contributor_count, k,
+                        _lambda(k, alphas), _lower_bound(k, alphas))
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,11 @@ import random
 from collections import Counter
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError, LedgerFormatError
-from .funding import ContributionColumns, _total, check_record, required_match
+from .funding import ContributionColumns, ProjectLedger, _total, check_record, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_records, write_rows
 from .report import AllocationReport, build_report
 
@@ -270,10 +271,10 @@ class _RoundState:
     The sums are ints in units of 2**-1074, so they carry no rounding error;
     int / int true division rounds correctly, as ``math.fsum`` does, so a sum
     read back equals an ``fsum`` rescan of the ledger bit for bit.  An
-    agent's amount in a ledger is the ``fsum`` of their records there, as in
-    the final ledgers; ``repeated`` keeps the records of every (project,
-    agent) pair that has more than one.  ``shadow`` holds both sums as
-    floats, correctly rounded, and ``panel`` every emitted record, as columns.
+    agent's amount in a ledger is the ``fsum`` of their records there, and
+    ``repeated`` keeps the records of each (project, agent) pair with more
+    than one: ``ledger`` reads the final ledgers off them.  ``shadow`` holds
+    both sums as floats, correctly rounded, and ``panel`` every record, as columns.
     """
 
     def __init__(self, projects: Collection[str]):
@@ -311,6 +312,15 @@ class _RoundState:
             raise DomainError(f"contributions to project {project!r} sum past the largest float") from None
         check_record(amount, day)
         self.panel.append(agent.agent_id, project, amount, day)
+
+    def ledger(self, project: str, category: str) -> ProjectLedger:
+        """``project``'s final ledger, equal to the one ``self.panel.ledgers`` gives field for field."""
+        amounts = self.amounts[project]
+        agents = sorted(amounts, key=self.panel.contributor_codes.get)
+        total = _total([x for agent in agents for x in self.repeated.get((project, agent), (amounts[agent],))])
+        if total == math.inf:
+            raise DomainError(f"contributions to project {project!r} sum past the largest float")
+        return ProjectLedger(project, category, tuple(agents), tuple(map(amounts.get, agents)), total)
 
     def remaining(self, agent: AgentSpec) -> float:
         return agent.budget - self.spent.get(agent.agent_id, 0.0)
@@ -366,7 +376,7 @@ def run_round(
     *,
     defecting_agents: Collection[str] = (),
 ) -> RoundTrajectory:
-    """Simulate one round day by day; deterministic given (config, agents, seed).
+    """Simulate one round day by day, without numpy; deterministic given (config, agents, seed).
 
     ``defecting_agents`` lists colluders that abandon ring cooperation for
     this round (used by the repeated-round driver's trigger logic).
@@ -463,15 +473,9 @@ def run_round(
         m_by_day.append(m_qf)
         observed_k.update((name, k) for name, k in nightly.items() if k is not None)
 
-    final_report = build_report(state.panel.ledgers(known), pools, strict=False)
-    return RoundTrajectory(
-        config=config,
-        k_by_day=tuple(k_by_day),
-        m_qf_by_day=tuple(m_by_day),
-        panel=state.panel,
-        event_jumps=tuple(jumps),
-        final_report=final_report,
-    )
+    ledgers = sorted(map(state.ledger, known, known.values()), key=lambda ledger: ledger.project_id)
+    final_report = build_report(ledgers, pools, strict=False)
+    return RoundTrajectory(config, tuple(k_by_day), tuple(m_by_day), state.panel, tuple(jumps), final_report)
 
 
 def run_repeated_rounds(
@@ -526,32 +530,34 @@ class DeficitPoint:
 
 @dataclass(frozen=True)
 class DeficitCurve:
+    """Final requirement against contributor count; ``fit`` is computed, with numpy, when first read."""
+
     points: tuple[DeficitPoint, ...]
-    fit: QuadraticFit | None
 
+    @cached_property
+    def fit(self) -> QuadraticFit | None:
+        import numpy as np
 
-def deficit_curve(trajectory: RoundTrajectory) -> DeficitCurve:
-    """Final per-project requirement vs contributor count, with a quadratic fit."""
-    import numpy as np
-
-    points = []
-    for block in trajectory.final_report.categories:
-        for project in block.projects:
-            points.append(DeficitPoint(project.project_id, project.m_qf, project.contributors))
-    points.sort(key=lambda p: p.project_id)
-    xs = np.array([p.contributor_count for p in points], dtype=float)
-    ys = np.array([p.m_qf for p in points], dtype=float)
-    fit = None
-    if len(points) >= 3 and len(set(xs.tolist())) >= 3:
+        xs = np.array([p.contributor_count for p in self.points], dtype=float)
+        ys = np.array([p.m_qf for p in self.points], dtype=float)
+        if len(set(xs.tolist())) < 3:
+            return None
         with np.errstate(over="ignore", invalid="ignore"):  # sums past the largest float leave no fit
             coeffs = np.polyfit(xs, ys, 2)
             predicted = np.polyval(coeffs, xs)
             ss_res = float(np.sum((ys - predicted) ** 2))
             ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        if math.isfinite(ss_res) and math.isfinite(ss_tot):
-            r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-            fit = QuadraticFit(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), r_squared)
-    return DeficitCurve(tuple(points), fit)
+        if not (math.isfinite(ss_res) and math.isfinite(ss_tot)):
+            return None
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        return QuadraticFit(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), r_squared)
+
+
+def deficit_curve(trajectory: RoundTrajectory) -> DeficitCurve:
+    """Final per-project requirement vs contributor count, by project id; the fit waits for a read."""
+    blocks = trajectory.final_report.categories
+    points = [DeficitPoint(p.project_id, p.m_qf, p.contributors) for block in blocks for p in block.projects]
+    return DeficitCurve(tuple(sorted(points, key=lambda point: point.project_id)))
 
 
 def emit_panel(trajectory: RoundTrajectory, path) -> None:
@@ -568,6 +574,7 @@ def emit_panel(trajectory: RoundTrajectory, path) -> None:
 
     panel = trajectory.panel
     contributors, projects = list(panel.contributor_codes), list(panel.project_codes)
+    k_text = [{c: "" if k is None else repr(k) for c, k in nightly.items()} for nightly in trajectory.k_by_day]
 
     def rows():
         for c, p, amount, day in zip(panel.contributors, panel.projects, panel.amounts, panel.days):
@@ -579,7 +586,7 @@ def emit_panel(trajectory: RoundTrajectory, path) -> None:
                 contributors[c],
                 amount,
                 math.sqrt(amount),
-                trajectory.k_by_day[day][category],
+                k_text[day][category],
                 1 if first_event_day is not None and day >= first_event_day else 0,
                 1 if category in increased else 0,
             )

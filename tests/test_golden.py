@@ -262,12 +262,23 @@ loaded = lambda: sorted({"numpy", "statistics"} & set(sys.modules))
 stages = {}
 import qfround.cli
 stages["import"] = loaded()
-valuations, contributions, pools, out = sys.argv[1:]
+valuations, contributions, pools, sample_round, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["equilibrium", "--valuations", valuations, "--k", "2.5"], ["sweep-k"],
                  ["collusion", "--sweep"]):
         assert qfround.cli.main(argv) == 0, argv
 stages["equilibrium, sweep-k, collusion"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qfround.cli.main(["simulate", "--config", sample_round, "--out-dir", out + "_round"]) == 0
+stages["simulate"] = loaded()
+from qfround.roundsim import AgentSpec, CategorySpec, RoundConfig, deficit_curve, run_round
+projects = ("q1", "q2", "q3")
+agents = [AgentSpec(f"{p}-{i}", "honest", 1.0, fixed_amount=1.0, projects=(p,))
+          for n, p in enumerate(projects, 1) for i in range(n)]
+curve = deficit_curve(run_round(RoundConfig((CategorySpec("c", 10.0, projects),), 1), agents))
+stages["deficit_curve"] = loaded()
+stages["fit is None"] = curve.fit is None
+stages["fit read"] = loaded()
 assert qfround.cli.main(["allocate", "--contributions", contributions, "--pools", pools,
                          "--json", out + ".json", "--csv", out + ".csv"]) == 0
 stages["allocate"] = loaded()
@@ -278,17 +289,24 @@ print(json.dumps(stages))
 def test_numpy_and_statistics_load_only_where_their_kernels_run(fixture_round, tmp_path):
     """A fresh interpreter: importing the CLI loads neither numpy nor
     statistics, the commands that never reach a numpy kernel leave it
-    unloaded, and ``allocate``, which loads it, still writes its golden bytes."""
+    unloaded, ``simulate`` among them with its golden bytes, reading a
+    deficit curve's fit loads numpy, and ``allocate``, which loads it,
+    still writes its golden bytes."""
     contributions, pools = fixture_round
     out = tmp_path / "allocate"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, "-c", LAZY_IMPORTS, str(GOLDEN / "equilibrium" / "valuations.csv"),
-            str(contributions), str(pools), str(out)]
+            str(contributions), str(pools), str(SAMPLE_ROUND), str(out)]
     done = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     stages = json.loads(done.stdout)
     assert stages["import"] == []
     assert "numpy" not in stages["equilibrium, sweep-k, collusion"]
+    assert stages["simulate"] == stages["deficit_curve"] == []
+    for name in SIMULATE_OUTPUTS:
+        assert_golden(tmp_path / "allocate_round" / name, f"sample_round/{name}")
+    assert stages["fit is None"] is False
+    assert stages["fit read"] == ["numpy"]
     assert "numpy" in stages["allocate"]
     assert_golden(tmp_path / "allocate.json", "allocate.json")
     assert_golden(tmp_path / "allocate.csv", "allocate.csv")

@@ -5,11 +5,12 @@ import csv
 import io
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synthgraph import records_of
@@ -19,6 +20,7 @@ from qfround.equilibrium import FAMILIES, Valuation, foc_lhs, solve_best_contrib
 from qfround.errors import BudgetBreachError, DomainError
 from qfround.funding import required_match
 from qfround.ledger import load_contributions
+from qfround import roundsim
 from qfround.report import build_report
 from qfround.roundsim import (
     AgentSpec,
@@ -756,3 +758,92 @@ class TestGeneratedRounds:
                 need = math.fsum(required)
                 expected = repr(need / pools[category.name]) if need > 0.0 else ""
                 assert k_rows[(day, category.name)] == expected
+
+
+def final_ledgers(config, agents):
+    """``run_round``'s trajectory and the final ledgers it built its report from."""
+    built = []
+
+    def spy(ledgers, pools, **kwargs):
+        built.append(ledgers)
+        return build_report(ledgers, pools, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roundsim, "build_report", spy)
+        trajectory = run_round(config, agents)
+    [ledgers] = built
+    return trajectory, ledgers
+
+
+def two_category_config(days, events=(), pool=10.0):
+    categories = (CategorySpec("c0", pool, ("p0", "p1")), CategorySpec("c1", pool, ("p2", "p3")))
+    return RoundConfig(categories, days, tuple(PoolEvent(day, "c0", new) for day, new in events), 5)
+
+
+#: a0 pays p0 on day 0, where its log valuation of p1 (marginal 0.5 alone) adds
+#: nothing; a1 then pays p1, and a0 tops p1 up on day 1, behind a1.
+LATER_AGENT_FIRST = (two_category_config(2), [
+    AgentSpec("a0", "honest", 50.0, valuations=(Valuation("a0", "p0", "sqrt", 5.0), Valuation("a0", "p1", "log", 0.5))),
+    fixed("a1", 1.0, ["p1"]),
+])
+#: Each rise of the pool lowers the next night's k, so both best-responders pay p0
+#: on day 0 and top it up on days 2 and 3: three records each.
+REPEATED_TOP_UPS = (two_category_config(4, events=[(1, 10.0), (2, 100.0), (3, 1000.0)], pool=1.0), [
+    honest("a0", {"p0": 3.0}),
+    AgentSpec("a1", "honest", 50.0, valuations=(Valuation("a1", "p0", "log", 3.0),)),
+])
+FIXED_AND_COLLUDERS = (two_category_config(3), [
+    fixed("f0", 2.0, ["p2", "p0", "p2"]),
+    colluder("r0-a", "r0", "p0"),
+    colluder("r0-b", "r0", "p2", budget=4.0),
+    fixed("f1", 0.5, ["p0", "p1"], activity=0.5),
+    colluder("r1-a", "r1", "p1"),
+])
+#: p2 and p3, all of category c1, are funded by nobody.
+UNFUNDED_PROJECTS = (two_category_config(2), [honest("a0", {"p0": 2.0}), fixed("f0", 1.0, ["p0", "p1"])])
+
+
+class TestFinalLedgers:
+    """``run_round`` builds its final ledgers from the round state; they equal
+    ``ContributionColumns.ledgers`` of its panel field for field, order included."""
+
+    @given(specs=round_specs())
+    @example(specs=LATER_AGENT_FIRST)
+    @example(specs=REPEATED_TOP_UPS)
+    @example(specs=FIXED_AND_COLLUDERS)
+    @example(specs=UNFUNDED_PROJECTS)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_the_panel_ledgers(self, specs):
+        config, agents = specs
+        trajectory, ledgers = final_ledgers(config, agents)
+        assert ledgers == trajectory.panel.ledgers(config.project_category())
+
+    def test_examples_reach_their_cases(self):
+        trajectory, ledgers = final_ledgers(*LATER_AGENT_FIRST)
+        assert [records.contributor_id for records in records_of(trajectory.panel)] == ["a0", "a1", "a0"]
+        assert ledgers[1].contributors == ("a0", "a1")
+        trajectory, ledgers = final_ledgers(*REPEATED_TOP_UPS)
+        assert Counter(record.contributor_id for record in records_of(trajectory.panel)) == {"a0": 3, "a1": 3}
+        assert ledgers[0].total == math.fsum(trajectory.panel.amounts)
+        trajectory, ledgers = final_ledgers(*UNFUNDED_PROJECTS)
+        assert [ledger.contributors for ledger in ledgers[2:]] == [(), ()]
+
+    def test_records_past_the_largest_float_raise(self):
+        agents = [fixed(f, 1e308, ["p1"], budget=1e308) for f in ("f1", "f2")]
+        with pytest.raises(DomainError, match="contributions to project 'p1' sum past the largest float"):
+            run_round(one_category_config(days=1), agents)
+
+    def test_records_past_the_largest_float_raise_where_their_per_agent_sums_do_not(self):
+        """Each agent's two records round to its first, so the agents' amounts sum to
+        the largest float, while the four records sum past it."""
+        agents = [fixed(f, 1.0, ["p1"], budget=sys.float_info.max) for f in ("a", "b")]
+        state = _RoundState(("p1",))
+        for agent, amount in ((agents[0], 2.0**1023), (agents[0], 2.0**969),
+                              (agents[1], 2.0**1023 - 2.0**971), (agents[1], 2.0**969)):
+            state.emit(0, agent, "p1", amount)
+        assert state.shadow["p1"][1] == sys.float_info.max
+        message = "contributions to project 'p1' sum past the largest float"
+        with pytest.raises(DomainError, match=message):
+            state.panel.ledgers({})
+        with pytest.raises(DomainError, match=message):
+            state.ledger("p1", "")
