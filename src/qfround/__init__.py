@@ -40,11 +40,9 @@ from .errors import (
     NoMatchableProjectsError,
 )
 from .funding import (
-    Contribution,
     ProjectLedger,
     compute_k,
     cqf_allocate,
-    group_ledgers,
     marginal_match,
     matching_requirement,
     qf_target,
@@ -94,7 +92,6 @@ __all__ = [
     "BudgetedContributor",
     "CategorySpec",
     "CollusionThresholds",
-    "Contribution",
     "ContributionGraph",
     "DispersionStats",
     "DomainError",
@@ -124,7 +121,6 @@ __all__ = [
     "deficit_curve",
     "dispersion",
     "emit_panel",
-    "group_ledgers",
     "k_sweep",
     "lambda_lower_bound",
     "lambda_p",

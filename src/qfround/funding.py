@@ -31,13 +31,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Contribution",
     "ContributionColumns",
     "ProjectLedger",
     "ProjectReport",
     "CategoryReport",
     "check_record",
-    "group_ledgers",
     "qf_target",
     "required_match",
     "matching_requirement",
@@ -66,26 +64,6 @@ def check_record(amount, day) -> None:
         raise DomainError(f"day must be a nonnegative integer, got {day!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Contribution:
-    """One (contributor, project, amount, day) record, as ``group_ledgers``
-    and ``ProjectLedger.build`` take it.
-
-    Amounts are strictly positive finite decimals (currency units); zero
-    and negative amounts are rejected at construction, matching the
-    ingestion rule.  ``day`` is a nonnegative round-day index.  The loader
-    and the simulator hold their records as ``ContributionColumns``.
-    """
-
-    contributor_id: str
-    project_id: str
-    amount: float
-    day: int = 0
-
-    def __post_init__(self) -> None:
-        check_record(self.amount, self.day)
-
-
 @dataclass(frozen=True)
 class ProjectLedger:
     """One project's contributions, summed per contributor.
@@ -95,8 +73,8 @@ class ProjectLedger:
     contributors first appear in the input.  ``total`` is the plain sum of
     the records, ``sqrt_sum`` the sum of the square roots of ``amounts``
     and ``contributor_count`` their number; the last two are derived at
-    construction.  Build ledgers with ``group_ledgers``, ``build`` or
-    ``from_amounts``.
+    construction.  Build one project's ledger with ``build`` or
+    ``from_amounts``, and a round's with ``ContributionColumns.ledgers``.
     """
 
     project_id: str
@@ -115,16 +93,15 @@ class ProjectLedger:
     def build(
         cls,
         project_id: str,
-        contributions: Iterable[Contribution],
+        records: Iterable[tuple[str, float]],
         category: str = "",
     ) -> "ProjectLedger":
-        records = tuple(contributions)
-        for record in records:
-            if record.project_id != project_id:
-                raise DomainError(
-                    f"contribution for {record.project_id!r} placed in ledger {project_id!r}"
-                )
-        return group_ledgers(records, {project_id: category}, (project_id,))[0]
+        """``project_id``'s ledger from ``(contributor_id, amount)`` pairs, each
+        checked as ``ContributionColumns.append`` checks a record of day 0."""
+        columns = ContributionColumns((project_id,))
+        for contributor, amount in records:
+            columns.append(contributor, project_id, amount, 0)
+        return columns.ledgers({project_id: category})[0]
 
     @classmethod
     def from_amounts(
@@ -134,11 +111,8 @@ class ProjectLedger:
         category: str = "",
     ) -> "ProjectLedger":
         """Build a ledger with one synthetic contributor per amount."""
-        columns = ContributionColumns((project_id,))
-        for i, amount in enumerate(map(float, amounts)):
-            check_record(amount, 0)
-            columns.append(f"{project_id}-backer-{i}", project_id, amount, 0)
-        return columns.ledgers({project_id: category})[0]
+        pairs = ((f"{project_id}-backer-{i}", amount) for i, amount in enumerate(map(float, amounts)))
+        return cls.build(project_id, pairs, category)
 
     def contributor_amounts(self) -> dict[str, float]:
         return dict(zip(self.contributors, self.amounts))
@@ -173,7 +147,9 @@ class ContributionColumns:
         self.days: list[int] = []
 
     def append(self, contributor: str, project: str, amount: float, day: int) -> None:
-        """Add one record; its values must already satisfy ``check_record``."""
+        """Add one record, or raise DomainError and add nothing unless
+        ``check_record`` accepts its amount and day."""
+        check_record(amount, day)
         self.contributors.append(self.contributor_codes[contributor])
         self.projects.append(self.project_codes[project])
         self.amounts.append(amount)
@@ -182,7 +158,8 @@ class ContributionColumns:
     def extend(
         self, contributors: Iterable[str], projects: Iterable[str], amounts: list[float], days: Iterable[int]
     ) -> None:
-        """Add records given as columns; their values must already satisfy ``check_record``."""
+        """Add records given as columns, unchecked: the loader's ``_add_clean``
+        has already checked each run column by column."""
         self.contributors.fromlist(list(map(self.contributor_codes.__getitem__, contributors)))
         self.projects.fromlist(list(map(self.project_codes.__getitem__, projects)))
         self.amounts.fromlist(amounts)
@@ -251,24 +228,6 @@ class ContributionColumns:
             raise DomainError(f"contributions to project {project!r} sum past the largest float")
         pairs = keys[starts]
         return pairs % width, sums, np.searchsorted(pairs, project_keys).tolist(), totals
-
-
-def group_ledgers(
-    contributions: Iterable[Contribution],
-    categories: Mapping[str, str],
-    projects: Iterable[str] = (),
-) -> list[ProjectLedger]:
-    """One ledger per project, sorted by project id, in a single pass.
-
-    Categories come from ``categories`` ("" when absent); every id in
-    ``projects`` gets a ledger even when nobody contributed to it.  Square
-    roots are always taken *after* each contributor's records are summed:
-    splitting one wallet's amount across several records changes nothing.
-    """
-    columns = ContributionColumns(projects)
-    for record in contributions:
-        columns.append(record.contributor_id, record.project_id, record.amount, record.day)
-    return columns.ledgers(categories)
 
 
 def qf_target(ledger: ProjectLedger) -> float:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 from .equilibrium import Valuation, foc_lhs, solve_best_contribution
 from .errors import BudgetBreachError, DomainError, LedgerFormatError
-from .funding import ContributionColumns, ProjectLedger, _total, check_record, required_match
+from .funding import ContributionColumns, ProjectLedger, _total, required_match
 from .ledger import CONTRIBUTIONS_COLUMNS, write_records, write_rows
 from .report import AllocationReport, build_report
 
@@ -289,12 +289,13 @@ class _RoundState:
     def emit(self, day: int, agent: AgentSpec, project: str, amount: float) -> None:
         if amount <= 0.0:
             return
-        already = self.spent.get(agent.agent_id, 0.0)
-        if already + amount > agent.budget * (1.0 + 1e-9):
+        spent = self.spent.get(agent.agent_id, 0.0) + amount
+        # a budget near the largest float scales to inf, which no sum exceeds
+        if spent > agent.budget * (1.0 + 1e-9) or spent == math.inf:
             raise BudgetBreachError(
-                f"agent {agent.agent_id!r} would emit {already + amount!r} of budget {agent.budget!r}"
+                f"agent {agent.agent_id!r} would emit {spent!r} of budget {agent.budget!r}"
             )
-        self.spent[agent.agent_id] = already + amount
+        self.spent[agent.agent_id] = spent
         ledger = self.amounts[project]
         old = ledger.get(agent.agent_id, 0.0)
         if old > 0.0:
@@ -310,7 +311,6 @@ class _RoundState:
             self.shadow[project] = (self.sqrt_sums[project] / _UNITS, self.totals[project] / _UNITS)
         except OverflowError:
             raise DomainError(f"contributions to project {project!r} sum past the largest float") from None
-        check_record(amount, day)
         self.panel.append(agent.agent_id, project, amount, day)
 
     def ledger(self, project: str, category: str) -> ProjectLedger:

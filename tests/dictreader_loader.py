@@ -1,15 +1,17 @@
 """Reference contributions loader built on ``csv.DictReader``.
 
-It reads a file the simple way: one dict and one validated ``Contribution``
-per row, records numbered from line 2.  Tests compare ``ledger.
-load_contributions`` against it on generated files without blank lines or
-quoted newlines, where that numbering is each record's line.
+It reads a file the simple way: one dict and one ``Record``, checked by
+``check_record``, per row, records numbered from line 2.  Tests compare
+``ledger.load_contributions`` against it on generated files without blank
+lines or quoted newlines, where that numbering is each record's line.
 """
 
 import csv
 
+from synthgraph import Record
+
 from qfround.errors import DomainError, LedgerFormatError
-from qfround.funding import Contribution
+from qfround.funding import check_record
 from qfround.ledger import CONTRIBUTIONS_COLUMNS, RowError
 
 
@@ -37,7 +39,7 @@ def load_contributions(path):
                 errors.append(RowError(line, "missing project or contributor id"))
                 continue
             try:
-                record = Contribution(contributor, project, amount, day)
+                check_record(amount, day)
             except DomainError as exc:
                 errors.append(RowError(line, str(exc)))
                 continue
@@ -47,5 +49,5 @@ def load_contributions(path):
                 )
             else:
                 categories[project] = category
-            records.append(record)
+            records.append(Record(contributor, project, amount, day))
     return tuple(records), categories, tuple(errors)

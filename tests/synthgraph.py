@@ -2,9 +2,19 @@
 and records to and from ``ContributionColumns``."""
 
 import random
+from typing import NamedTuple
 
-from qfround.funding import Contribution, ContributionColumns
+from qfround.funding import ContributionColumns
 from qfround.ledger import TeamRoster
+
+
+class Record(NamedTuple):
+    """One contribution record, as the tests spell it out."""
+
+    contributor_id: str
+    project_id: str
+    amount: float
+    day: int = 0
 
 
 def columns_of(records):
@@ -16,10 +26,10 @@ def columns_of(records):
 
 
 def records_of(columns):
-    """The records of ``columns``, in order, as ``Contribution`` objects."""
+    """The records of ``columns``, in order, as ``Record`` tuples."""
     contributors, projects = list(columns.contributor_codes), list(columns.project_codes)
     return tuple(
-        Contribution(contributors[c], projects[p], amount, day)
+        Record(contributors[c], projects[p], amount, day)
         for c, p, amount, day in zip(columns.contributors, columns.projects, columns.amounts, columns.days)
     )
 

@@ -19,7 +19,6 @@ from qfround.concentration import decomposed_match, max_match
 from qfround.efficiency import k_sweep, lambda_lower_bound, lambda_p
 from qfround.equilibrium import Valuation, best_response, planner_optimum, welfare
 from qfround.funding import (
-    Contribution,
     ProjectLedger,
     cqf_allocate,
     matching_requirement,

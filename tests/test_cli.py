@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from synthgraph import records_of
 
 from qfround.cli import main
-from qfround.funding import Contribution
 from qfround.ledger import load_contributions
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 #: Inputs whose sums pass the largest float, which CI's installed-script job replays too.
 OVERFLOW = Path(__file__).resolve().parent / "data" / "overflow"
+#: Rounds whose one agent has a budget at the largest float, which CI's installed-script job replays too.
+BUDGET = Path(__file__).resolve().parent / "data" / "budget"
 #: The allocate and diagnose golden inputs, which CI's installed-script job replays too.
 CONTRIBUTIONS = (GOLDEN / "allocate" / "contributions.csv").read_text(encoding="utf-8")
 POOLS = (GOLDEN / "allocate" / "pools.csv").read_text(encoding="utf-8")
@@ -615,6 +616,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: contributions to project 'p' sum past the largest float\n"
 
+    @pytest.mark.parametrize("name", ["two_projects", "one_project_twice"])
+    def test_budget_at_the_largest_float_is_enforced(self, tmp_path, capsys, name):
+        """The agent's spend reaches inf, which its budget scaled by 1 + 1e-9 (also inf) does not exceed."""
+        config = BUDGET / f"{name}.json"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: agent 'f' would emit inf of budget 1.7976931348623157e+308\n"
+
     def test_seed_override_changes_run_deterministically(self, tmp_path, capsys):
         config = tmp_path / "round.json"
         config.write_text(json.dumps(SIM_CONFIG), encoding="utf-8")
@@ -694,24 +702,6 @@ class TestReciprocal:
             cross = {row["category"]: row for row in csv.DictReader(handle)}
         assert set(cross) == {"x", "y"}
         assert summary["slope"] is not None
-
-    def test_builds_no_contribution_object(self, tmp_path, capsys, monkeypatch):
-        # the graph is built from the loader's columns
-        def refuse(record):
-            raise AssertionError(f"built {record!r}")
-
-        monkeypatch.setattr(Contribution, "__post_init__", refuse)
-        contributions = tmp_path / "contributions.csv"
-        contributions.write_text(
-            "day,category,project_id,contributor_id,amount\n0,x,B,a1,2\n1,y,A,b1,1\n",
-            encoding="utf-8",
-        )
-        teams = tmp_path / "teams.csv"
-        teams.write_text("project_id,member_id\nA,a1\nB,b1\n", encoding="utf-8")
-        argv = ["reciprocal", "--contributions", str(contributions), "--teams", str(teams),
-                "--out-dir", str(tmp_path / "forensics")]
-        assert main(argv) == 0
-        assert main(argv + ["--weighted"]) == 0
 
 
 VALUATIONS = "contributor_id,project_id,family,scale\na,p1,sqrt,2.0\nb,p1,sqrt,2.0\n"

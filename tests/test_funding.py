@@ -1,18 +1,20 @@
 """Tests for the quadratic-rule math and pool scaling."""
 
+import copy
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synthgraph import Record
 
 from qfround.errors import DomainError, NoMatchableProjectsError
 from qfround.funding import (
-    Contribution,
+    ContributionColumns,
     ProjectLedger,
+    check_record,
     compute_k,
     cqf_allocate,
-    group_ledgers,
     marginal_match,
     matching_requirement,
     qf_target,
@@ -22,6 +24,14 @@ from qfround.funding import (
 
 def ledger(*amounts, project="p", category=""):
     return ProjectLedger.from_amounts(project, amounts, category)
+
+
+def ledgers_of(records, categories, projects=()):
+    """The ledgers of ``Record``s, each appended to one ``ContributionColumns``."""
+    columns = ContributionColumns(projects)
+    for record in records:
+        columns.append(*record)
+    return columns.ledgers(categories)
 
 
 def brute_force_requirement(amounts):
@@ -53,17 +63,19 @@ class TestQfTarget:
         assert qf_target(ProjectLedger.build("p", ())) == 0.0
 
     def test_negative_amount_rejected(self):
-        with pytest.raises(DomainError):
-            Contribution("a", "p", -1.0)
+        with pytest.raises(DomainError, match="^contribution amount must be positive and finite, got -1.0$"):
+            ContributionColumns().append("a", "p", -1.0, 0)
+        with pytest.raises(DomainError, match="^contribution amount must be positive and finite, got -1.0$"):
+            ProjectLedger.build("p", [("a", 1.0), ("b", -1.0)])
 
     def test_zero_amount_rejected(self):
-        with pytest.raises(DomainError):
-            Contribution("a", "p", 0.0)
+        with pytest.raises(DomainError, match="^contribution amount must be positive and finite, got 0.0$"):
+            ContributionColumns().append("a", "p", 0.0, 0)
+        with pytest.raises(DomainError, match="^contribution amount must be positive and finite, got 0.0$"):
+            ProjectLedger.build("p", [("a", 0.0)])
 
     def test_same_contributor_aggregated_before_sqrt(self):
-        split = ProjectLedger.build(
-            "p", (Contribution("a", "p", 1.0), Contribution("a", "p", 1.0))
-        )
+        split = ProjectLedger.build("p", (("a", 1.0), ("a", 1.0)))
         distinct = ledger(1.0, 1.0)
         assert qf_target(split) == pytest.approx(2.0, rel=1e-12)
         assert qf_target(distinct) == pytest.approx(4.0, rel=1e-12)
@@ -110,9 +122,9 @@ class TestMatchingRequirement:
     @given(amounts_strategy, st.floats(min_value=0.01, max_value=100, allow_nan=False))
     @settings(max_examples=100)
     def test_topping_up_existing_contributor_never_decreases(self, amounts, extra):
-        records = [Contribution(f"c{i}", "p", a) for i, a in enumerate(amounts)]
+        records = [(f"c{i}", a) for i, a in enumerate(amounts)]
         before = matching_requirement(ProjectLedger.build("p", records))
-        topped = records + [Contribution("c0", "p", extra)]
+        topped = records + [("c0", extra)]
         after = matching_requirement(ProjectLedger.build("p", topped))
         assert after >= before - 1e-12
 
@@ -183,11 +195,11 @@ class TestSumsPastTheLargestFloat:
         [("u1", 1e308), ("u2", 1e308), ("u3", 1e308)],
     ], ids=["pair_of_three", "pair_of_two", "project_of_two", "project_of_three"])
     def test_ledgers_name_the_project(self, records):
-        contributions = [Contribution("a", "p0", 1.0)] + [Contribution(c, "p1", x) for c, x in records]
+        contributions = [Record("a", "p0", 1.0)] + [Record(c, "p1", x) for c, x in records]
         with pytest.raises(DomainError, match="^contributions to project 'p1' sum past the largest float$"):
-            group_ledgers(contributions, {})
+            ledgers_of(contributions, {})
         # a sum up to the largest float is kept
-        [kept] = group_ledgers([Contribution("u1", "p1", 1e308), Contribution("u1", "p1", 7e307)], {})
+        [kept] = ledgers_of([Record("u1", "p1", 1e308), Record("u1", "p1", 7e307)], {})
         assert kept.amounts == (kept.total,) == (1e308 + 7e307,)
 
 
@@ -271,16 +283,12 @@ class TestCqfAllocate:
 class TestLedgerType:
     def test_cached_sums_validated(self):
         """The derived sums come from the amounts and cannot be passed in."""
-        records = (
-            Contribution("a", "p", 1.0),
-            Contribution("b", "p", 4.0),
-            Contribution("a", "p", 3.0),
-        )
+        records = (("a", 1.0), ("b", 4.0), ("a", 3.0))
         with pytest.raises(TypeError):
             ProjectLedger("p", "", ("a", "b"), (4.0, 4.0), 8.0, sqrt_sum=99.0)
         built = ProjectLedger.build("p", records)
         assert (built.contributors, built.amounts) == (("a", "b"), (4.0, 4.0))
-        assert built.total == math.fsum(r.amount for r in records)
+        assert built.total == math.fsum(amount for _, amount in records)
         assert built.sqrt_sum == math.fsum(math.sqrt(a) for a in (4.0, 4.0))
         assert built.contributor_count == 2
         assert matching_requirement(built) == pytest.approx(8.0, rel=1e-12)
@@ -292,33 +300,22 @@ class TestLedgerType:
         assert required_match(2.0, 4.0 + 1e-15, 2) == 0.0  # clipped at zero
 
     def test_group_ledgers_one_pass(self):
-        records = [
-            Contribution("a", "q", 1.0),
-            Contribution("b", "p", 4.0),
-            Contribution("a", "q", 3.0),
-        ]
-        ledgers = group_ledgers(records, {"p": "main"}, projects=("r", "p"))
+        """``ContributionColumns.ledgers`` gives every project's ledger, named ones included."""
+        records = [Record("a", "q", 1.0), Record("b", "p", 4.0), Record("a", "q", 3.0)]
+        ledgers = ledgers_of(records, {"p": "main"}, projects=("r", "p"))
         assert [l.project_id for l in ledgers] == ["p", "q", "r"]
         assert [l.category for l in ledgers] == ["main", "", ""]
         assert (ledgers[1].contributors, ledgers[1].amounts) == (("a",), (4.0,))
         assert ledgers[1].total == 4.0 and ledgers[1].contributor_count == 1
         assert ledgers[2].amounts == () and matching_requirement(ledgers[2]) == 0.0
 
-    def test_wrong_project_rejected(self):
-        with pytest.raises(DomainError):
-            ProjectLedger.build("p", (Contribution("a", "other", 1.0),))
-
     def test_contributor_count_aggregates(self):
-        records = (
-            Contribution("a", "p", 1.0),
-            Contribution("a", "p", 2.0),
-            Contribution("b", "p", 1.0),
-        )
+        records = (("a", 1.0), ("a", 2.0), ("b", 1.0))
         assert ProjectLedger.build("p", records).contributor_count == 2
 
     def test_negative_day_rejected(self):
-        with pytest.raises(DomainError):
-            Contribution("a", "p", 1.0, day=-1)
+        with pytest.raises(DomainError, match="^day must be a nonnegative integer, got -1$"):
+            ContributionColumns().append("a", "p", 1.0, -1)
 
 
 @given(
@@ -338,8 +335,8 @@ class TestLedgerType:
 @settings(max_examples=200)
 def test_group_ledgers_match_a_brute_force_reading(rows, projects):
     """Every ledger's sums and per-contributor amounts, bit for bit, empty ledgers included."""
-    records = [Contribution(cid, pid, amount) for cid, pid, amount in rows]
-    ledgers = group_ledgers(records, {"p1": "main", "p4": "side"}, projects)
+    records = [Record(cid, pid, amount) for cid, pid, amount in rows]
+    ledgers = ledgers_of(records, {"p1": "main", "p4": "side"}, projects)
     assert [l.project_id for l in ledgers] == sorted({r.project_id for r in records} | set(projects))
     for built in ledgers:
         own = [r for r in records if r.project_id == built.project_id]
@@ -354,6 +351,66 @@ def test_group_ledgers_match_a_brute_force_reading(rows, projects):
         assert built.sqrt_sum == math.fsum(math.sqrt(a) for a in amounts.values())
 
 
+@given(st.lists(
+    st.tuples(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from((0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, True, "1")),
+        ),
+        st.one_of(st.integers(min_value=-3, max_value=40), st.floats(min_value=-3.0, max_value=40.0)),
+    ),
+    max_size=12,
+))
+@settings(max_examples=300)
+def test_append_accepts_exactly_what_check_record_accepts(records):
+    """An accepted record is added as given; a rejected one raises ``check_record``'s
+    error and leaves the columns and both code dicts as they were."""
+    columns = ContributionColumns()
+    for i, (amount, day) in enumerate(records):
+        before = copy.deepcopy(columns)
+        try:
+            check_record(amount, day)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as raised:
+                columns.append(f"c{i}", f"p{i}", amount, day)
+            assert str(raised.value) == str(exc)
+            assert len(columns) == len(before)
+            assert columns == before
+        else:
+            columns.append(f"c{i}", f"p{i}", amount, day)
+            assert len(columns) == len(before) + 1
+            assert columns.amounts[-1] == amount and columns.days[-1] == day
+            assert list(columns.contributor_codes)[columns.contributors[-1]] == f"c{i}"
+            assert list(columns.project_codes)[columns.projects[-1]] == f"p{i}"
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("a", "b", "c", "d")),
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False),
+                st.sampled_from((0.1, 0.2, 0.3, 1e-3)),
+            ),
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=200)
+def test_build_matches_a_brute_force_reading(pairs):
+    """Contributors in first-appearance order, each amount the ``fsum`` of its
+    records and ``total`` the ``fsum`` of all of them, bit for bit."""
+    built = ProjectLedger.build("p", pairs, "main")
+    per_contributor = {}
+    for contributor, amount in pairs:
+        per_contributor.setdefault(contributor, []).append(amount)
+    assert (built.project_id, built.category) == ("p", "main")
+    assert built.contributors == tuple(per_contributor)
+    assert built.amounts == tuple(map(math.fsum, per_contributor.values()))
+    assert built.total == math.fsum(amount for _, amount in pairs)
+    assert built.sqrt_sum == math.fsum(map(math.sqrt, built.amounts))
+
+
 records_strategy = st.lists(
     st.tuples(
         st.sampled_from(("a", "b", "c", "d", "e")),
@@ -362,11 +419,11 @@ records_strategy = st.lists(
     ),
     min_size=2,
     max_size=20,
-).map(lambda rows: [Contribution(cid, pid, amount) for cid, pid, amount in rows])
+).map(lambda rows: [Record(cid, pid, amount) for cid, pid, amount in rows])
 
 
 def allocate_records(records, pool):
-    return cqf_allocate(group_ledgers(records, {}), pool)
+    return cqf_allocate(ledgers_of(records, {}), pool)
 
 
 class TestAllocationInvariances:
@@ -376,12 +433,12 @@ class TestAllocationInvariances:
     @settings(max_examples=150)
     def test_shuffled_contributions_give_identical_outcomes(self, records, pool, rnd):
         """Any reordering of the records, and of the ledgers, gives the same bits."""
-        if sum(matching_requirement(l) for l in group_ledgers(records, {})) <= 0.0:
+        if sum(matching_requirement(l) for l in ledgers_of(records, {})) <= 0.0:
             return
         shuffled = records[:]
         rnd.shuffle(shuffled)
         before = allocate_records(records, pool)
-        after = cqf_allocate(group_ledgers(shuffled, {})[::-1], pool)
+        after = cqf_allocate(ledgers_of(shuffled, {})[::-1], pool)
         assert after.by_project() == before.by_project()
         assert after.k == before.k
         assert after.surplus == before.surplus
@@ -390,14 +447,14 @@ class TestAllocationInvariances:
            st.floats(min_value=0.1, max_value=500.0))
     @settings(max_examples=150)
     def test_splitting_one_record_changes_nothing(self, records, fraction, index, pool):
-        if sum(matching_requirement(l) for l in group_ledgers(records, {})) <= 0.0:
+        if sum(matching_requirement(l) for l in ledgers_of(records, {})) <= 0.0:
             return
         index %= len(records)
         whole = records[index]
         part = whole.amount * fraction
         split = records[:index] + [
-            Contribution(whole.contributor_id, whole.project_id, part),
-            Contribution(whole.contributor_id, whole.project_id, whole.amount - part),
+            Record(whole.contributor_id, whole.project_id, part),
+            Record(whole.contributor_id, whole.project_id, whole.amount - part),
         ] + records[index + 1:]
         before = allocate_records(records, pool)
         after = allocate_records(split, pool)

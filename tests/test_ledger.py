@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 import dictreader_loader
 import graph_oracle
 import loader_reference
-from synthgraph import columns_of, community_percentages_fixture, generate_backing, records_of
+from synthgraph import Record, columns_of, community_percentages_fixture, generate_backing, records_of
 
 from qfround.cli import main
 from qfround.errors import DomainError, LedgerFormatError
-from qfround.funding import Contribution
 from qfround import ledger
 from qfround.ledger import (
     CONTRIBUTIONS_COLUMNS,
@@ -58,9 +57,9 @@ class TestLoadContributions:
         loaded = load_contributions(path)
         assert loaded.errors == ()
         assert records_of(loaded.contributions) == (
-            Contribution("alice", "p1", 4.0, 0),
-            Contribution("bob", "p1", 1.0, 1),
-            Contribution("carol", "p2", 2.5, 2),
+            Record("alice", "p1", 4.0, 0),
+            Record("bob", "p1", 1.0, 1),
+            Record("carol", "p2", 2.5, 2),
         )
         assert loaded.project_categories == {"p1": "infra", "p2": "apps"}
 
@@ -107,9 +106,9 @@ class TestLoadContributions:
 
     def test_round_trip_is_identity(self, tmp_path):
         records = (
-            Contribution("alice", "p1", 4.0, 0),
-            Contribution("bob", "p1", 0.125, 3),
-            Contribution("carol", "p2", 1e-3, 7),
+            Record("alice", "p1", 4.0, 0),
+            Record("bob", "p1", 0.125, 3),
+            Record("carol", "p2", 1e-3, 7),
         )
         categories = {"p1": "infra", "p2": "apps"}
         path = tmp_path / "out.csv"
@@ -136,7 +135,7 @@ class TestLoadContributions:
         # ids go through csv quoting, so commas and quotes must survive;
         # surrounding whitespace is stripped at load, hence .strip() here
         records = tuple(
-            Contribution(cid.strip() or "x", pid, amount, day)
+            Record(cid.strip() or "x", pid, amount, day)
             for cid, pid, amount, day in rows
         )
         categories = {record.project_id: "cat" for record in records}
@@ -769,7 +768,7 @@ class TestGraphOracle:
         teams, records, labels = inputs
         roster = TeamRoster(teams)
         graph = build_graph(columns_of(records), roster, labels)
-        contributions = [Contribution(m, p, amount, 0) for m, p, amount in records]
+        contributions = [Record(m, p, amount, 0) for m, p, amount in records]
         expected = graph_oracle.build_graph(contributions, roster, labels)
         assert graph.edges == expected.edges
         assert self_support(graph) == expected.self_support
