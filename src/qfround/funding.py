@@ -68,24 +68,29 @@ def check_record(amount, day) -> None:
 class ProjectLedger:
     """One project's contributions, summed per contributor.
 
-    ``contributors`` and ``amounts`` are parallel: each distinct contributor
-    and the correctly rounded sum of their records, in the order
-    contributors first appear in the input.  ``total`` is the plain sum of
-    the records, ``sqrt_sum`` the sum of the square roots of ``amounts``
-    and ``contributor_count`` their number; the last two are derived at
-    construction.  Build one project's ledger with ``build`` or
-    ``from_amounts``, and a round's with ``ContributionColumns.ledgers``.
+    ``contributors`` (a tuple) and ``amounts`` (an ``array('d')``) are
+    parallel: each distinct contributor and the correctly rounded sum of
+    their records, in the order contributors first appear in the input.
+    Any other sequence of amounts is converted to an ``array('d')`` at
+    construction; the array is not part of the hash, and must not be
+    changed.  ``total`` is the plain sum of the records, ``sqrt_sum`` the
+    sum of the square roots of ``amounts`` and ``contributor_count`` their
+    number; the last two are derived at construction.  Build one project's
+    ledger with ``build`` or ``from_amounts``, and a round's with
+    ``ContributionColumns.ledgers``.
     """
 
     project_id: str
     category: str
     contributors: tuple[str, ...]
-    amounts: tuple[float, ...]
+    amounts: array = field(hash=False)
     total: float
     sqrt_sum: float = field(init=False)
     contributor_count: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.amounts, array) and self.amounts.typecode == "d"):
+            object.__setattr__(self, "amounts", array("d", self.amounts))
         object.__setattr__(self, "sqrt_sum", math.fsum(map(math.sqrt, self.amounts)))
         object.__setattr__(self, "contributor_count", len(self.amounts))
 
@@ -188,7 +193,7 @@ class ContributionColumns:
                 project,
                 categories.get(project, ""),
                 tuple(map(contributor_ids.__getitem__, contributors[first:last].tolist())),
-                tuple(sums[first:last].tolist()),
+                array("d", sums[first:last].tobytes()),  # frombytes: no float object per amount
                 totals[code],
             ))
         return ledgers
@@ -213,21 +218,27 @@ class ContributionColumns:
         keys = np.frombuffer(self.projects, dtype=np.int64) * width
         keys += np.frombuffer(self.contributors, dtype=np.int64)
         order = np.argsort(keys)
-        keys, records = keys[order], np.frombuffer(self.amounts, dtype=np.float64)[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        ends = np.append(starts[1:], len(keys))
+        keys = keys[order]
+        records = np.frombuffer(self.amounts, dtype=np.float64)[order]
+        del order  # each record-sized temporary goes after its last use
+        n = len(keys)
+        starts = np.flatnonzero(np.concatenate(([n > 0], keys[1:] != keys[:-1])))
+        pairs = keys[starts]
+        del keys
+        offsets = np.searchsorted(pairs, np.arange(len(self.project_codes) + 1) * width)
         with np.errstate(over="ignore"):
             sums = np.add.reduceat(records, starts)
-        for pair in np.flatnonzero(ends - starts >= 3).tolist():
-            sums[pair] = _total(records[starts[pair]:ends[pair]].tolist())
-        project_keys = np.arange(len(self.project_codes) + 1) * width
-        bounds = np.searchsorted(keys, project_keys).tolist()
+        starts = np.append(starts, n)  # pair i's records are starts[i]:starts[i + 1]
+        for pair in np.flatnonzero(np.diff(starts) >= 3).tolist():
+            sums[pair] = _total(records[starts[pair]:starts[pair + 1]].tolist())
+        bounds = starts[offsets].tolist()
         totals = [_total(records[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        del records
         if math.inf in totals:
             project = list(self.project_codes)[totals.index(math.inf)]
             raise DomainError(f"contributions to project {project!r} sum past the largest float")
-        pairs = keys[starts]
-        return pairs % width, sums, np.searchsorted(pairs, project_keys).tolist(), totals
+        pairs %= width
+        return pairs, sums, offsets.tolist(), totals
 
 
 def qf_target(ledger: ProjectLedger) -> float:

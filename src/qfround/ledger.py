@@ -513,8 +513,7 @@ def _per_node(sources: np.ndarray, amounts: np.ndarray | None, n: int, weighted:
     if not weighted:
         return np.bincount(sources, minlength=n).astype(float).tolist()
     bounds = np.searchsorted(sources, np.arange(n + 1)).tolist()
-    amounts = amounts.tolist()
-    return [_total(amounts[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [_total(amounts[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
 
 
 def reciprocity_stats(graph: ContributionGraph, *, weighted: bool = False) -> ReciprocityReport:
