@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import round_reference
 from synthgraph import records_of
 
 from qfround.cli import main
@@ -758,6 +759,89 @@ class TestGeneratedRounds:
                 need = math.fsum(required)
                 expected = repr(need / pools[category.name]) if need > 0.0 else ""
                 assert k_rows[(day, category.name)] == expected
+
+
+#: Agents no spec takes, each read as its own fault: not an object, a missing
+#: key, an unknown key, a value of the wrong type, a fault of the spec itself.
+BAD_AGENTS = (
+    ["bad-list"],
+    {"id": "bad-missing"},
+    {"id": "bad-key", "kind": "honest", "budget": 1.0, "colour": 1},
+    {"id": "bad-type", "kind": "honest", "budget": 1.0, "valuations": [{"project": 5, "family": "sqrt", "scale": 1}]},
+    {"id": "bad-budget", "kind": "honest", "budget": -1, "valuations": [{"project": "p0", "family": "sqrt", "scale": 1}]},
+)
+#: Round keys no config takes, each its own fault.
+BAD_CONFIG = (("duration_days", 0), ("seed", "x"), ("colour", 1), ("categories", {}), ("pool_events", [1]))
+#: ``"agents"`` values that are not lists of agents.
+BAD_AGENT_LISTS = ({}, "", "ab", None, 7, [1], [BAD_AGENTS[1]], {"a": [BAD_AGENTS[2]]})
+ROUND_FAULTS = (
+    "none", "repeated agents", "truncated", "inserted", "trailing", "not an object",
+    "bad agent", "bad agent then syntax", "bad agent and config",
+)
+
+
+def round_text(pairs, compact: bool) -> str:
+    """A JSON object of ``(key, value)`` ``pairs``, where a key may repeat;
+    ``indent=1`` unless ``compact``."""
+    if compact:
+        return "{" + ",".join(f"{json.dumps(k)}:{json.dumps(v, separators=(',', ':'))}" for k, v in pairs) + "}"
+    return "{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v, indent=1)}" for k, v in pairs) + "\n}"
+
+
+def load_outcome(load, path):
+    """What ``load(path)`` returns, or the type and message of what it raises."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRoundFileReference:
+    """``load_simulation_file`` returns the specs the whole-tree reader in
+    ``round_reference`` returns, or raises the same exception with the same
+    message, on valid round files in any key order and layout and on
+    malformed ones."""
+
+    @given(specs=round_specs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_specs_or_same_fault(self, specs, data, tmp_path_factory):
+        config, specs = specs
+        document = round_file(config, specs, data.draw(st.booleans(), label="omit_defaults"))
+        agents = document.pop("agents")
+        pairs = list(document.items())
+        fault = data.draw(st.sampled_from(ROUND_FAULTS), label="fault")
+        if fault.startswith("bad agent"):
+            for bad in data.draw(st.lists(st.sampled_from(BAD_AGENTS), min_size=1, max_size=2), label="bad"):
+                agents.insert(data.draw(st.integers(0, len(agents))), bad)
+        if fault == "bad agent and config":
+            key, value = data.draw(st.sampled_from(BAD_CONFIG), label="config fault")
+            pairs = [pair for pair in pairs if pair[0] != key]
+            pairs.insert(data.draw(st.integers(0, len(pairs))), (key, value))
+        pairs.insert(data.draw(st.integers(0, len(pairs)), label="agents at"), ("agents", agents))
+        if fault == "repeated agents":
+            value = data.draw(st.sampled_from(BAD_AGENT_LISTS), label="other agents")
+            pairs.insert(data.draw(st.integers(0, len(pairs)), label="repeat at"), ("agents", value))
+        text = round_text(pairs, compact=data.draw(st.booleans(), label="compact"))
+        if fault == "truncated":
+            text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
+        elif fault == "inserted" or fault == "bad agent then syntax":
+            start = text.find('"bad-') + 1 if fault == "bad agent then syntax" else 0
+            at = data.draw(st.integers(start, len(text)), label="insert at")
+            text = text[:at] + data.draw(st.sampled_from((",", "}", '"', "x", "t")), label="inserted") + text[at:]
+        elif fault == "trailing":
+            text += data.draw(st.sampled_from((" \n", "x", "{}", ",", " 1", "]")), label="trailing")
+        elif fault == "not an object":
+            text = json.dumps(data.draw(st.sampled_from((agents, 1, "round", None, [1, 2], [{}])), label="top"))
+        if data.draw(st.booleans(), label="crlf"):
+            text = text.replace("\n", "\r\n")
+        if data.draw(st.booleans(), label="bom"):
+            text = "\ufeff" + text
+        path = tmp_path_factory.mktemp("round") / "round.json"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_outcome(round_reference.load_simulation_file, path)
+        assert load_outcome(load_simulation_file, path) == expected
+        if fault == "none":
+            assert expected == (config, specs)
 
 
 def final_ledgers(config, agents):
