@@ -182,10 +182,10 @@ def _key_table(cls) -> tuple[dict[str, tuple[int, object]], list]:
 _KEYS = {cls: _key_table(cls) for cls in (RoundConfig, CategorySpec, PoolEvent, AgentSpec, Valuation)}
 
 
-def _value(value, key: str, json_type, parent: dict):
+def _value(value, key: str, json_type, parent: dict, strings: dict):
     """``value`` of round-file ``key`` as its field takes it, where ``type(value)`` is not
-    ``json_type``; a TypeError when it is not of that JSON type.  In a list of specs, each
-    object's keys fill their fields, and an absent key leaves the field's default."""
+    ``json_type``; a TypeError when it is not of that JSON type.  A list of specs is made
+    one object at a time by ``_spec``."""
     if json_type is None:
         return value
     if json_type is float and type(value) is int:
@@ -196,39 +196,85 @@ def _value(value, key: str, json_type, parent: dict):
         raise TypeError(f"{key} must be a list, got {value!r:.80}")
     [spec] = json_type
     if spec is str:
-        return tuple([item if type(item) is str else _value(item, key, str, parent) for item in value])
-    table, defaults = _KEYS[spec]
+        return tuple([item if type(item) is str else _value(item, key, str, parent, strings) for item in value])
+    defaults = _KEYS[spec][1]
     defaults = [parent.get("id"), *defaults[1:]] if spec is Valuation else defaults
-    specs = []
-    for raw in value:
-        if type(raw) is not dict:
-            raise TypeError(f"{key} must hold objects, got {raw!r:.80}")
-        fields = defaults.copy()
-        for name, item in raw.items():
-            try:
-                index, item_type = table[name]
-            except KeyError:
-                raise TypeError(f"unknown key {name!r} in {key}") from None
-            fields[index] = item if type(item) is item_type else _value(item, name, item_type, raw)
-        if len(raw) < len(table) and dataclasses.MISSING in fields:
-            missing = next(name for name, (index, _) in table.items() if fields[index] is dataclasses.MISSING)
-            raise TypeError(f"missing key {missing!r}")
-        specs.append(spec(*fields))
-    return tuple(specs)
+    return tuple([_spec(spec, raw, key, defaults, strings) for raw in value])
+
+
+def _spec(spec, raw, key: str, defaults: list, strings: dict):
+    """The ``spec`` that ``raw``, an item of list ``key``, describes; one copy of a string in ``strings``."""
+    if type(raw) is not dict:
+        raise TypeError(f"{key} must hold objects, got {raw!r:.80}")
+    table = _KEYS[spec][0]
+    fields = defaults.copy()
+    for name, item in raw.items():
+        try:
+            index, item_type = table[name]
+        except KeyError:
+            raise TypeError(f"unknown key {name!r} in {key}") from None
+        if type(item) is not item_type:
+            item = _value(item, name, item_type, raw, strings)
+        elif item_type is str:
+            item = strings.setdefault(item, item)
+        fields[index] = item
+    if len(raw) < len(table) and dataclasses.MISSING in fields:
+        missing = next(name for name, (index, _) in table.items() if fields[index] is dataclasses.MISSING)
+        raise TypeError(f"missing key {missing!r}")
+    return spec(*fields)
 
 
 def load_simulation_file(path) -> tuple[RoundConfig, list[AgentSpec]]:
     """Read a JSON round file, a RoundConfig's keys and its ``agents``; LedgerFormatError
     ``path:line: reason`` for a JSON syntax error, ``path: reason`` for any other fault.
-    A leading UTF-8 byte-order mark is skipped, as for CSV inputs."""
+    A leading UTF-8 byte-order mark is skipped, as for CSV inputs.  Each agent becomes its
+    spec before the next is decoded; a file with a fault is read whole, as ``json.load``
+    reads it, for the same first fault: a syntax fault, then the config's, then an agent's."""
+    decode, skip, strings = json.JSONDecoder().raw_decode, json.decoder.WHITESPACE.match, {}
+    data, agents = {}, []
+
+    def expect(at: int, char: str) -> int:  # str.index raises ValueError unless text[at] is char
+        return text.index(char, at, at + 1) + 1
+
+    def walk(at: int, brackets: str, item) -> int:
+        # the offset past the container at text[at]; item(at) reads one item, returns its end
+        at = skip(text, expect(at, brackets[0])).end()
+        if text[at] != brackets[1]:
+            at = skip(text, item(at)).end()
+            while text[at] != brackets[1]:
+                at = skip(text, item(skip(text, expect(at, ",")).end())).end()
+        return at + 1
+
+    def member(at: int) -> int:
+        key, at = json.decoder.scanstring(text, expect(at, '"'))
+        at = skip(text, expect(skip(text, at).end(), ":")).end()
+        if key != "agents":
+            data[key], at = decode(text, at)
+            return at
+        agents.clear()  # a repeated key keeps its last value
+        return walk(at, "[]", agent)
+
+    def agent(at: int) -> int:
+        raw, at = decode(text, at)
+        agents.append(_spec(AgentSpec, raw, "agents", _KEYS[AgentSpec][1], strings))
+        return at
+
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            data = json.load(handle)
-        if type(data) is not dict:
-            raise TypeError(f"a round file must be a JSON object, got {data!r:.80}")
-        agents = data.pop("agents", [])
-        [config] = _value([data], "the round file", [RoundConfig], data)
-        return config, list(_value(agents, "agents", _KEY_TYPES["agents"], data))
+            text = handle.read()
+        try:
+            if skip(text, walk(skip(text).end(), "{}", member)).end() != len(text):
+                raise ValueError("extra data")
+        except (TypeError, ValueError, OverflowError, IndexError):
+            data = json.loads(text)  # json's own message and line for a syntax fault
+            if type(data) is not dict:
+                raise TypeError(f"a round file must be a JSON object, got {data!r:.80}") from None
+            agents = data.pop("agents", [])
+            [config] = _value([data], "the round file", [RoundConfig], data, strings)
+            return config, list(_value(agents, "agents", _KEY_TYPES["agents"], data, strings))
+        return _spec(RoundConfig, data, "the round file", _KEYS[RoundConfig][1], strings), agents
+    except UnicodeDecodeError as exc:
+        raise LedgerFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise LedgerFormatError(f"{path}:{exc.lineno}: {exc.msg}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1080,6 +1080,12 @@ class TestMalformedRoundFile:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
         assert f"{config}: {message}" in capsys.readouterr().err
 
+    def test_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "round.json"
+        config.write_bytes(b"\xff\xfe{}")
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {config}: not UTF-8 text (invalid start byte)\n"
+
 
 class TestUnreadableInputs:
     """A file that cannot be opened is a usage error (exit code 2); a CSV

@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import math
+import random
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 
@@ -772,10 +774,13 @@ BAD_AGENTS = (
 )
 #: Round keys no config takes, each its own fault.
 BAD_CONFIG = (("duration_days", 0), ("seed", "x"), ("colour", 1), ("categories", {}), ("pool_events", [1]))
-#: ``"agents"`` values that are not lists of agents.
-BAD_AGENT_LISTS = ({}, "", "ab", None, 7, [1], [BAD_AGENTS[1]], {"a": [BAD_AGENTS[2]]})
+#: Other ``"agents"`` values: two lists of agents, then values that are not.
+OTHER_AGENTS = (
+    [], [{"id": "other", "kind": "honest", "budget": 1.0, "fixed_amount": 1.0, "projects": ["p0"]}],
+    {}, "", "ab", None, 7, [1], [BAD_AGENTS[1]], {"a": [BAD_AGENTS[2]]},
+)
 ROUND_FAULTS = (
-    "none", "repeated agents", "truncated", "inserted", "trailing", "not an object",
+    "none", "repeated agents", "truncated", "inserted", "replaced", "trailing", "not an object",
     "bad agent", "bad agent then syntax", "bad agent and config",
 )
 
@@ -819,15 +824,18 @@ class TestRoundFileReference:
             pairs.insert(data.draw(st.integers(0, len(pairs))), (key, value))
         pairs.insert(data.draw(st.integers(0, len(pairs)), label="agents at"), ("agents", agents))
         if fault == "repeated agents":
-            value = data.draw(st.sampled_from(BAD_AGENT_LISTS), label="other agents")
+            value = data.draw(st.sampled_from(OTHER_AGENTS), label="other agents")
             pairs.insert(data.draw(st.integers(0, len(pairs)), label="repeat at"), ("agents", value))
         text = round_text(pairs, compact=data.draw(st.booleans(), label="compact"))
         if fault == "truncated":
             text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
-        elif fault == "inserted" or fault == "bad agent then syntax":
+        elif fault in ("inserted", "replaced", "bad agent then syntax"):
             start = text.find('"bad-') + 1 if fault == "bad agent then syntax" else 0
-            at = data.draw(st.integers(start, len(text)), label="insert at")
-            text = text[:at] + data.draw(st.sampled_from((",", "}", '"', "x", "t")), label="inserted") + text[at:]
+            # half the time at a structural character, where a lax reader would slip
+            marks = [at for at in range(start, len(text)) if text[at] in '{}[],:"']
+            at = data.draw(st.sampled_from(marks) | st.integers(start, len(text) - 1), label="at")
+            char = data.draw(st.sampled_from(("", ",", "}", '"', ":", "x", "t")), label="char")
+            text = text[:at] + char + text[at + (fault == "replaced"):]
         elif fault == "trailing":
             text += data.draw(st.sampled_from((" \n", "x", "{}", ",", " 1", "]")), label="trailing")
         elif fault == "not an object":
@@ -842,6 +850,62 @@ class TestRoundFileReference:
         assert load_outcome(load_simulation_file, path) == expected
         if fault == "none":
             assert expected == (config, specs)
+
+
+    def test_every_offset(self, tmp_path):
+        """A small round file cut, or with a character deleted, replaced or
+        inserted, at every offset."""
+        config, agents = FIXED_AND_COLLUDERS
+        agents = [*agents, honest("a0", {"p1": 2.0, "p3": 0.5})]
+        document = round_file(config, agents, omit_defaults=True)
+        text = json.dumps({"seed": document.pop("seed"), "agents": document.pop("agents"), **document}, indent=1)
+        path = tmp_path / "round.json"
+        for at in range(len(text) + 1):
+            edits = [(char, cut) for char in ',}":x' for cut in (0, 1)] + [("", 1)]
+            for variant in (text[:at], *(text[:at] + char + text[at + cut:] for char, cut in edits)):
+                path.write_text(variant, encoding="utf-8")
+                expected = load_outcome(round_reference.load_simulation_file, path)
+                assert load_outcome(load_simulation_file, path) == expected, variant
+
+
+class TestLoadMemory:
+    """tracemalloc traces every object the reader makes, so the traced peak
+    of one ``load_simulation_file`` counts the file's text, the specs made so
+    far and whatever decoded JSON it holds at once."""
+
+    @pytest.fixture(scope="class")
+    def round_path(self, tmp_path_factory):
+        """2,000 honest agents with 5 valuations each over 40 projects, written
+        with ``indent=1`` as the ``round_2k`` benchmark input is."""
+        rng = random.Random(2000)
+        names = ("apps", "infra", "tools", "docs")
+        projects = [f"{name}-{j}" for name in names for j in range(10)]
+        categories = [{"name": name, "pool": 7.5e6, "projects": projects[10 * i: 10 * i + 10]} for i, name in enumerate(names)]
+        agents = [
+            {"id": f"agent-{i:04d}", "kind": "honest", "budget": float(rng.randrange(800, 4001, 50)),
+             "activity": round(rng.uniform(0.4, 0.6), 3),
+             "valuations": [{"project": project, "family": "log" if rng.random() < 0.15 else "sqrt",
+                             "scale": round(rng.uniform(18.0, 55.0), 2)} for project in rng.sample(projects, 5)]}
+            for i in range(2000)
+        ]
+        path = tmp_path_factory.mktemp("memory") / "round.json"
+        round_file = {"seed": 1, "duration_days": 20, "categories": categories, "agents": agents}
+        path.write_text(json.dumps(round_file, indent=1), encoding="utf-8")
+        load_simulation_file(path)  # the first call's one-time allocations stay out of the peak
+        return path
+
+    # Measured at 1,477 bytes per agent; decoding the whole file with
+    # json.load before converting it, with a copy of each string per
+    # valuation, took 2,745.
+    def test_peak_bytes_per_agent(self, round_path):
+        tracemalloc.start()
+        try:
+            _config, agents = load_simulation_file(round_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(agents) == 2000
+        assert peak / len(agents) <= 1625
 
 
 def final_ledgers(config, agents):
