@@ -203,7 +203,7 @@ def _value(value, key: str, json_type, parent: dict, strings: dict):
 
 
 def _spec(spec, raw, key: str, defaults: list, strings: dict):
-    """The ``spec`` that ``raw``, an item of list ``key``, describes; one copy of a string in ``strings``."""
+    """The ``spec`` that ``raw``, an item of list ``key``, describes; each string is kept once in ``strings``."""
     if type(raw) is not dict:
         raise TypeError(f"{key} must hold objects, got {raw!r:.80}")
     table = _KEYS[spec][0]
@@ -270,7 +270,7 @@ def load_simulation_file(path) -> tuple[RoundConfig, list[AgentSpec]]:
             if type(data) is not dict:
                 raise TypeError(f"a round file must be a JSON object, got {data!r:.80}") from None
             agents = data.pop("agents", [])
-            [config] = _value([data], "the round file", [RoundConfig], data, strings)
+            config = _spec(RoundConfig, data, "the round file", _KEYS[RoundConfig][1], strings)
             return config, list(_value(agents, "agents", _KEY_TYPES["agents"], data, strings))
         return _spec(RoundConfig, data, "the round file", _KEYS[RoundConfig][1], strings), agents
     except UnicodeDecodeError as exc:

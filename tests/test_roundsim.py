@@ -810,8 +810,8 @@ class TestRoundFileReference:
     @given(specs=round_specs(), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_specs_or_same_fault(self, specs, data, tmp_path_factory):
-        config, specs = specs
-        document = round_file(config, specs, data.draw(st.booleans(), label="omit_defaults"))
+        config, agent_specs = specs
+        document = round_file(config, agent_specs, data.draw(st.booleans(), label="omit_defaults"))
         agents = document.pop("agents")
         pairs = list(document.items())
         fault = data.draw(st.sampled_from(ROUND_FAULTS), label="fault")
@@ -831,7 +831,7 @@ class TestRoundFileReference:
             text = text[: data.draw(st.integers(0, len(text) - 1), label="cut at")]
         elif fault in ("inserted", "replaced", "bad agent then syntax"):
             start = text.find('"bad-') + 1 if fault == "bad agent then syntax" else 0
-            # half the time at a structural character, where a lax reader would slip
+            # often at a structural character, where a lax reader would slip
             marks = [at for at in range(start, len(text)) if text[at] in '{}[],:"']
             at = data.draw(st.sampled_from(marks) | st.integers(start, len(text) - 1), label="at")
             char = data.draw(st.sampled_from(("", ",", "}", '"', ":", "x", "t")), label="char")
@@ -849,8 +849,7 @@ class TestRoundFileReference:
         expected = load_outcome(round_reference.load_simulation_file, path)
         assert load_outcome(load_simulation_file, path) == expected
         if fault == "none":
-            assert expected == (config, specs)
-
+            assert expected == (config, agent_specs)
 
     def test_every_offset(self, tmp_path):
         """A small round file cut, or with a character deleted, replaced or
@@ -860,8 +859,8 @@ class TestRoundFileReference:
         document = round_file(config, agents, omit_defaults=True)
         text = json.dumps({"seed": document.pop("seed"), "agents": document.pop("agents"), **document}, indent=1)
         path = tmp_path / "round.json"
+        edits = [(char, cut) for char in ',}":x' for cut in (0, 1)] + [("", 1)]
         for at in range(len(text) + 1):
-            edits = [(char, cut) for char in ',}":x' for cut in (0, 1)] + [("", 1)]
             for variant in (text[:at], *(text[:at] + char + text[at + cut:] for char, cut in edits)):
                 path.write_text(variant, encoding="utf-8")
                 expected = load_outcome(round_reference.load_simulation_file, path)
@@ -889,14 +888,14 @@ class TestLoadMemory:
             for i in range(2000)
         ]
         path = tmp_path_factory.mktemp("memory") / "round.json"
-        round_file = {"seed": 1, "duration_days": 20, "categories": categories, "agents": agents}
-        path.write_text(json.dumps(round_file, indent=1), encoding="utf-8")
+        document = {"seed": 1, "duration_days": 20, "categories": categories, "agents": agents}
+        path.write_text(json.dumps(document, indent=1), encoding="utf-8")
         load_simulation_file(path)  # the first call's one-time allocations stay out of the peak
         return path
 
-    # Measured at 1,477 bytes per agent; decoding the whole file with
-    # json.load before converting it, with a copy of each string per
-    # valuation, took 2,745.
+    # Measured at 1,421-1,758 bytes per agent on Python 3.10-3.13 (1,477 on
+    # 3.11); decoding the whole file with json.load before converting it,
+    # with a copy of each string per valuation, took 2,601-3,379.
     def test_peak_bytes_per_agent(self, round_path):
         tracemalloc.start()
         try:
@@ -905,7 +904,7 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert len(agents) == 2000
-        assert peak / len(agents) <= 1625
+        assert peak / len(agents) <= 1935
 
 
 def final_ledgers(config, agents):
